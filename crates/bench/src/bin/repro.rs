@@ -7,7 +7,6 @@
 //! repro --seed 7 all         # a different universe
 //! repro --keep-going fig5 fig8   # don't stop at the first failure
 //! repro --jobs 4 all         # run artefacts on 4 worker threads
-//! repro --bench fig1 fig2 fig7   # timing harness -> BENCH_repro.json
 //! repro --trace t.jsonl --metrics m.json fig7   # observability artefacts
 //! ```
 //!
@@ -40,14 +39,7 @@
 //! repeated runs with the same seed. The `campaign` artefact is excluded
 //! (it streams interactively and never runs in parallel).
 //!
-//! ## The timing harness
-//!
-//! `repro --bench` runs the named artefacts three ways — sequentially
-//! (timing each), in parallel with `--jobs` threads, and through a
-//! constellation-sweep microbenchmark comparing the pre-snapshot
-//! per-query scan against the shared [`SnapshotCache`] path — and writes
-//! the numbers (per-artefact wall time, parallel speedup, snapshot-cache
-//! hit counts, sweep speedup) to `BENCH_repro.json` under `--out`.
+//! ## Failure handling
 //!
 //! The harness is failure-tolerant: each artefact runs in isolation
 //! (panics are caught, not propagated), failures are collected into an
@@ -67,14 +59,14 @@
 //! repro campaign --days 60 --checkpoint-every 30 --resume
 //! ```
 //!
-//! With `--storage-faults SEED` the checkpoint target becomes a
-//! crash-consistent generation chain (a `CheckpointStore` directory) and
-//! the disk underneath it injects a seeded mix of torn writes, bit rot,
-//! ENOSPC, and crash-around-rename faults. An injected power loss exits
-//! with code 13; rerun with `--resume` to recover from the newest
-//! generation that still resumes cleanly (damaged blobs are quarantined,
-//! never deleted). The recovered run's digest is byte-identical to an
-//! uninterrupted one.
+//! `--checkpoint DIR` names a crash-consistent generation chain (a
+//! `CheckpointStore` directory); `--resume` recovers from its newest
+//! intact generation (damaged blobs are quarantined, never deleted) and
+//! refuses a chain that belongs to a different scenario. With
+//! `--storage-faults SEED` the disk underneath the chain injects a seeded
+//! mix of torn writes, bit rot, ENOSPC, and crash-around-rename faults.
+//! An injected power loss exits with code 13; rerun with `--resume`. The
+//! recovered run's digest is byte-identical to an uninterrupted one.
 //!
 //! `--out DIR` (default `target/repro`) receives `campaign_digest.txt`
 //! (the canonical dataset digest — diff it across kill/resume runs) and
@@ -93,23 +85,24 @@
 //! shard order. The digest, coverage report, traces and metrics are
 //! byte-identical at any `--jobs` value, and checkpoints carry no worker
 //! count, so `--resume` under a different `--jobs` is byte-identical
-//! too. Alongside the digest and coverage files, `--out` receives
+//! too; the chain and `--storage-faults` work exactly as above.
+//! Alongside the digest and coverage files, `--out` receives
 //! `BENCH_campaign.json` (`repro-campaign-bench-v1`: users/sec,
 //! wall-clock, peak RSS, merged coverage totals, dataset digest).
+//!
+//! Wall-clock timing of the stack is `slbench`'s job: see
+//! `benchmark/README.md`.
 
 use starlink_bench::{capture_begin, capture_end, export_dat, report};
-use starlink_core::constellation::{Constellation, SnapshotCache};
 use starlink_core::experiments::*;
-use starlink_core::geo::{look_angles, Geodetic};
-use starlink_core::simcore::{EventQueue, QueueBackend, SimDuration, SimRng, SimTime};
+use starlink_core::simcore::{SimDuration, SimRng, SimTime};
 use starlink_core::telemetry::storage::{
-    sync_real_dir, CheckpointStore, FaultyDisk, RealDisk, StorageError, StorageFaultPlan,
+    open_campaign_chain, CheckpointStore, FaultyDisk, RealDisk, StorageError, StorageFaultPlan,
 };
 use starlink_core::telemetry::{
-    AdmissionConfig, Campaign, CampaignConfig, IngestOptions, ResilientCampaign, ScaleConfig,
-    ScaledCampaign,
+    AdmissionConfig, Campaign, CampaignConfig, CheckpointError, IngestOptions, ResilientCampaign,
+    ScaleConfig, ScaledCampaign,
 };
-use starlink_core::tle::ShellConfig;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -233,6 +226,7 @@ fn write_text(path: &Path, contents: &str) -> Result<(), String> {
 struct CampaignOpts {
     days: u64,
     checkpoint_every: u64,
+    /// Directory of the checkpoint chain ([`CheckpointStore`]).
     checkpoint: PathBuf,
     resume: bool,
     kill_at_day: Option<u64>,
@@ -241,9 +235,7 @@ struct CampaignOpts {
     /// shed column.
     service: bool,
     /// Seed for a mixed disk-fault plan (torn write, bit rot, ENOSPC,
-    /// crash-around-rename). Switches checkpointing from the single
-    /// `--checkpoint` file to a crash-consistent [`CheckpointStore`]
-    /// chain rooted at that path (now a directory).
+    /// crash-around-rename) injected under the checkpoint chain.
     storage_faults: Option<u64>,
     /// Population-scale mode: `--users N` (N > 0) switches the campaign
     /// from the paper-faithful 28-user deployment to the sharded
@@ -264,7 +256,7 @@ impl Default for CampaignOpts {
         CampaignOpts {
             days: 60,
             checkpoint_every: 0,
-            checkpoint: PathBuf::from("target/repro/campaign.ckpt"),
+            checkpoint: PathBuf::from("target/repro/campaign.chain"),
             resume: false,
             kill_at_day: None,
             service: false,
@@ -286,7 +278,6 @@ fn main() {
     let mut seed: u64 = 42;
     let mut targets: Vec<String> = Vec::new();
     let mut keep_going = false;
-    let mut bench = false;
     let mut jobs: usize = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -309,7 +300,6 @@ fn main() {
                     .filter(|&n| n >= 1)
                     .unwrap_or_else(|| usage("--jobs needs a thread count >= 1"));
             }
-            "--bench" => bench = true,
             "--trace" => {
                 trace_path = Some(
                     it.next()
@@ -340,7 +330,7 @@ fn main() {
                 campaign.checkpoint = it
                     .next()
                     .map(PathBuf::from)
-                    .unwrap_or_else(|| usage("--checkpoint needs a path"));
+                    .unwrap_or_else(|| usage("--checkpoint needs a directory"));
             }
             "--resume" => campaign.resume = true,
             "--service" => campaign.service = true,
@@ -379,6 +369,7 @@ fn main() {
             }
             "--keep-going" | "-k" => keep_going = true,
             "--help" | "-h" => usage(""),
+            flag if flag.starts_with('-') => usage(&format!("unknown flag: {flag}")),
             other => targets.push(other.to_string()),
         }
     }
@@ -389,16 +380,6 @@ fn main() {
         targets = ARTEFACTS.iter().map(|s| s.to_string()).collect();
         // A full campaign run should always report everything it can.
         keep_going = true;
-    }
-
-    if bench {
-        match run_bench(seed, &targets, jobs, &campaign.out) {
-            Ok(()) => return,
-            Err(err) => {
-                eprintln!("[bench] {err}");
-                std::process::exit(1);
-            }
-        }
     }
 
     // The campaign artefact streams checkpoint progress interactively and
@@ -481,12 +462,12 @@ fn usage(err: &str) -> ! {
         eprintln!("error: {err}\n");
     }
     eprintln!(
-        "usage: repro [--seed N] [--jobs N] [--keep-going] [--bench] \
+        "usage: repro [--seed N] [--jobs N] [--keep-going] \
          [--trace PATH] [--metrics PATH] <artefact>..."
     );
     eprintln!("artefacts: all campaign {}", ARTEFACTS.join(" "));
     eprintln!(
-        "campaign flags: [--days N] [--checkpoint-every N] [--checkpoint PATH] \
+        "campaign flags: [--days N] [--checkpoint-every N] [--checkpoint DIR] \
          [--resume] [--kill-at-day D] [--service] [--storage-faults SEED] [--out DIR]"
     );
     eprintln!(
@@ -612,325 +593,6 @@ fn run_parallel(
     });
 }
 
-/// Per-artefact timing from the sequential bench pass.
-struct ArtefactTiming {
-    name: String,
-    seconds: f64,
-    ok: bool,
-}
-
-/// Results of the event-queue microbenchmark: the same seeded
-/// pop-and-reschedule churn run on both [`EventQueue`] backends.
-struct QueueBench {
-    /// Steady-state backlog held in the queue during the churn.
-    pending: usize,
-    /// Pop + reschedule operations timed per backend.
-    churn_ops: usize,
-    wheel_seconds: f64,
-    heap_seconds: f64,
-    /// Pops per wall-clock second on the timing-wheel backend.
-    events_per_sec: f64,
-    heap_events_per_sec: f64,
-    /// Both backends popped the exact same `(time, seq, payload)` stream.
-    results_identical: bool,
-    speedup: f64,
-}
-
-/// Results of the constellation-sweep microbenchmark.
-struct SweepBench {
-    observers: usize,
-    satellites: usize,
-    boundaries: usize,
-    direct_seconds: f64,
-    cached_seconds: f64,
-    cache_hits: u64,
-    cache_misses: u64,
-    results_identical: bool,
-    speedup: f64,
-}
-
-/// `repro --bench`: times the artefact set sequentially and in parallel,
-/// runs the constellation-sweep microbenchmark, and writes
-/// `BENCH_repro.json` under `out_dir`.
-fn run_bench(seed: u64, targets: &[String], jobs: usize, out_dir: &Path) -> Result<(), String> {
-    let targets: Vec<String> = targets
-        .iter()
-        .filter(|t| *t != "campaign")
-        .cloned()
-        .collect();
-    if targets.is_empty() {
-        return Err("--bench needs at least one non-campaign artefact".to_string());
-    }
-
-    println!(
-        "[bench] sequential pass: {} artefact(s), seed {seed}",
-        targets.len()
-    );
-    let mut artefacts: Vec<ArtefactTiming> = Vec::new();
-    // The bench always collects metrics: the merged summary is folded into
-    // BENCH_repro.json so a timing run doubles as a counters snapshot.
-    let mut metrics_total = starlink_obsv::MetricsRegistry::new();
-    let seq_start = Instant::now();
-    for target in &targets {
-        let start = Instant::now();
-        capture_begin();
-        let (outcome, obsv) = run_observed(
-            target,
-            seed,
-            ObsvSpec {
-                trace: false,
-                metrics: true,
-            },
-        );
-        let _ = capture_end();
-        if let Some(reg) = &obsv.metrics {
-            metrics_total.merge(reg);
-        }
-        let seconds = start.elapsed().as_secs_f64();
-        println!(
-            "[bench]   {target}: {seconds:.3} s{}",
-            match &outcome {
-                Ok(()) => String::new(),
-                Err(e) => format!(" FAILED ({e})"),
-            }
-        );
-        artefacts.push(ArtefactTiming {
-            name: target.clone(),
-            seconds,
-            ok: outcome.is_ok(),
-        });
-    }
-    let sequential_seconds = seq_start.elapsed().as_secs_f64();
-
-    let worker_count = jobs.min(targets.len()).max(1);
-    println!("[bench] parallel pass: --jobs {worker_count}");
-    let parallel_seconds = timed_parallel_pass(seed, &targets, worker_count);
-    let parallel_speedup = sequential_seconds / parallel_seconds.max(1e-9);
-    println!(
-        "[bench]   sequential {sequential_seconds:.3} s, parallel {parallel_seconds:.3} s \
-         (speedup {parallel_speedup:.2}x)"
-    );
-
-    println!("[bench] constellation sweep: direct scan vs snapshot cache");
-    let sweep = sweep_microbench();
-    println!(
-        "[bench]   direct {:.3} s, cached {:.3} s (speedup {:.2}x), \
-         cache {} hits / {} misses",
-        sweep.direct_seconds,
-        sweep.cached_seconds,
-        sweep.speedup,
-        sweep.cache_hits,
-        sweep.cache_misses
-    );
-    if !sweep.results_identical {
-        return Err("sweep microbenchmark: cached picks diverged from direct scan".to_string());
-    }
-
-    println!("[bench] event queue: timing wheel vs binary heap");
-    let queue = queue_microbench(seed);
-    println!(
-        "[bench]   wheel {:.3} s ({:.0} events/s), heap {:.3} s ({:.0} events/s), \
-         speedup {:.2}x",
-        queue.wheel_seconds,
-        queue.events_per_sec,
-        queue.heap_seconds,
-        queue.heap_events_per_sec,
-        queue.speedup,
-    );
-    if !queue.results_identical {
-        return Err("queue microbenchmark: wheel pop stream diverged from the heap".to_string());
-    }
-
-    let json = render_bench_json(
-        seed,
-        worker_count,
-        &targets,
-        &artefacts,
-        sequential_seconds,
-        parallel_seconds,
-        parallel_speedup,
-        &sweep,
-        &queue,
-        &metrics_total,
-    );
-    std::fs::create_dir_all(out_dir)
-        .map_err(|e| format!("cannot create {}: {e}", out_dir.display()))?;
-    let path = out_dir.join("BENCH_repro.json");
-    std::fs::write(&path, json).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    println!("[bench] wrote {}", path.display());
-
-    let failed: Vec<&str> = artefacts
-        .iter()
-        .filter(|a| !a.ok)
-        .map(|a| a.name.as_str())
-        .collect();
-    if !failed.is_empty() {
-        return Err(format!("artefact(s) failed: {}", failed.join(" ")));
-    }
-    Ok(())
-}
-
-/// Runs the whole target set on `jobs` workers, discarding output, and
-/// returns the wall time in seconds.
-fn timed_parallel_pass(seed: u64, targets: &[String], jobs: usize) -> f64 {
-    let start = Instant::now();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            let next = &next;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= targets.len() {
-                    break;
-                }
-                capture_begin();
-                let _ = run_one(&targets[i], seed);
-                let _ = capture_end();
-            });
-        }
-    });
-    start.elapsed().as_secs_f64()
-}
-
-/// Times a multi-observer best-visible sweep over an epoch grid two ways:
-/// the pre-snapshot per-query scan (re-propagate every satellite for every
-/// observer × boundary, full look-angle trig on all of them) against the
-/// [`SnapshotCache`] path (propagate once per boundary, coarse-prune, share
-/// across observers) — the hot path behind `selection.rs` handover sweeps.
-fn sweep_microbench() -> SweepBench {
-    let constellation = Constellation::from_tles(
-        &ShellConfig {
-            planes: 24,
-            sats_per_plane: 18,
-            ..ShellConfig::starlink_shell1()
-        }
-        .generate(),
-        0.0,
-    );
-    let observers: Vec<Geodetic> = (0..8)
-        .map(|i| Geodetic::on_surface(25.0 + 4.0 * i as f64, -120.0 + 30.0 * i as f64))
-        .collect();
-    let mask_deg = starlink_core::constellation::SHELL1_MIN_ELEVATION_DEG;
-    let epoch = SimDuration::from_secs(15);
-    let boundaries: Vec<SimDuration> = (0..40).map(|k| epoch * k).collect();
-
-    // Pre-PR path: every (boundary, observer) pair re-propagates the whole
-    // shell and runs the trig on every satellite.
-    let direct_start = Instant::now();
-    let mut direct_picks: Vec<Option<usize>> = Vec::new();
-    for &t in &boundaries {
-        for &obs in &observers {
-            let mut best: Option<(usize, f64)> = None;
-            for index in 0..constellation.len() {
-                let look = look_angles(obs, constellation.position(index, t));
-                if !look.visible_above(mask_deg) {
-                    continue;
-                }
-                let better = match best {
-                    None => true,
-                    Some((_, elev)) => look.elevation_deg > elev,
-                };
-                if better {
-                    best = Some((index, look.elevation_deg));
-                }
-            }
-            direct_picks.push(best.map(|(index, _)| index));
-        }
-    }
-    let direct_seconds = direct_start.elapsed().as_secs_f64();
-
-    // Snapshot path: one propagation per boundary, shared by all observers,
-    // with the coarse range prune ahead of the trig. The cache counts its
-    // own hits and misses, so the numbers below describe exactly this
-    // sweep: one miss per unique boundary, a hit for every other query.
-    let cached_start = Instant::now();
-    let cache = SnapshotCache::new(&constellation);
-    let mut cached_picks: Vec<Option<usize>> = Vec::new();
-    for &t in &boundaries {
-        for &obs in &observers {
-            cached_picks.push(cache.at(t).best_visible(obs, mask_deg).map(|v| v.index));
-        }
-    }
-    let cached_seconds = cached_start.elapsed().as_secs_f64();
-    let (cache_hits, cache_misses) = cache.stats();
-
-    SweepBench {
-        observers: observers.len(),
-        satellites: constellation.len(),
-        boundaries: boundaries.len(),
-        direct_seconds,
-        cached_seconds,
-        cache_hits,
-        cache_misses,
-        results_identical: direct_picks == cached_picks,
-        speedup: direct_seconds / cached_seconds.max(1e-9),
-    }
-}
-
-/// Steady-state backlog the queue microbenchmark holds — sized to the
-/// event population a full fig8 shoot-out keeps in flight.
-const QUEUE_PENDING: usize = 1 << 16;
-/// Pop + reschedule operations timed per backend.
-const QUEUE_CHURN: usize = 1 << 20;
-
-/// A timer-like hold time: mostly sub-2ms (per-packet events), some
-/// tens-of-ms (RTT-scale timers), a tail of multi-second timers (RTOs,
-/// probes) that exercises the wheel's upper levels and overflow stage.
-fn queue_hold_delta(rng: &mut SimRng) -> u64 {
-    match rng.next_u64() % 100 {
-        0..=79 => 1 + rng.next_u64() % 2_000_000,
-        80..=94 => 1 + rng.next_u64() % 200_000_000,
-        _ => 1 + rng.next_u64() % 30_000_000_000,
-    }
-}
-
-/// Runs the seeded churn on one backend; returns wall seconds and an
-/// FNV-1a digest over every popped `(time, seq, payload)` triple.
-fn queue_churn(backend: QueueBackend, seed: u64) -> (f64, u64) {
-    let fnv = |digest: u64, v: u64| -> u64 {
-        let mut d = digest;
-        for byte in v.to_le_bytes() {
-            d = (d ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
-        }
-        d
-    };
-    let mut queue: EventQueue<u64> = EventQueue::with_backend(backend);
-    let mut rng = SimRng::seed_from(seed);
-    for i in 0..QUEUE_PENDING {
-        let at = queue_hold_delta(&mut rng);
-        queue.schedule(SimTime::from_nanos(at), i as u64);
-    }
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
-    let start = Instant::now();
-    for _ in 0..QUEUE_CHURN {
-        let ev = queue.pop().expect("backlog never drains during the churn");
-        digest = fnv(digest, ev.time.as_nanos());
-        digest = fnv(digest, ev.seq);
-        digest = fnv(digest, ev.payload);
-        let next = ev.time.as_nanos() + queue_hold_delta(&mut rng);
-        queue.schedule(SimTime::from_nanos(next), ev.payload);
-    }
-    (start.elapsed().as_secs_f64(), digest)
-}
-
-/// Times the simulator's event queue under a pop-and-reschedule hold
-/// pattern on both backends. The identical seeded workload must produce
-/// identical pop streams — the bench doubles as a determinism oracle.
-fn queue_microbench(seed: u64) -> QueueBench {
-    let (wheel_seconds, wheel_digest) = queue_churn(QueueBackend::TimingWheel, seed);
-    let (heap_seconds, heap_digest) = queue_churn(QueueBackend::BinaryHeap, seed);
-    QueueBench {
-        pending: QUEUE_PENDING,
-        churn_ops: QUEUE_CHURN,
-        wheel_seconds,
-        heap_seconds,
-        events_per_sec: QUEUE_CHURN as f64 / wheel_seconds.max(1e-9),
-        heap_events_per_sec: QUEUE_CHURN as f64 / heap_seconds.max(1e-9),
-        results_identical: wheel_digest == heap_digest,
-        speedup: heap_seconds / wheel_seconds.max(1e-9),
-    }
-}
-
 fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
@@ -947,164 +609,84 @@ fn json_string(s: &str) -> String {
     out
 }
 
-#[allow(clippy::too_many_arguments)]
-fn render_bench_json(
-    seed: u64,
-    jobs: usize,
-    targets: &[String],
-    artefacts: &[ArtefactTiming],
-    sequential_seconds: f64,
-    parallel_seconds: f64,
-    parallel_speedup: f64,
-    sweep: &SweepBench,
-    queue: &QueueBench,
-    metrics: &starlink_obsv::MetricsRegistry,
-) -> String {
-    let target_list = targets
-        .iter()
-        .map(|t| json_string(t))
-        .collect::<Vec<_>>()
-        .join(", ");
-    // The fig8 wall time is the bench's long-horizon trend line: the
-    // congestion-control shoot-out is the heaviest event-queue consumer,
-    // so regressions in the queue show up here first. `null` when fig8
-    // was not part of this run.
-    let fig8_wall_seconds = artefacts
-        .iter()
-        .find(|a| a.name == "fig8")
-        .map_or("null".to_string(), |a| format!("{:.6}", a.seconds));
-    let artefact_list = artefacts
-        .iter()
-        .map(|a| {
-            format!(
-                "    {{\"name\": {}, \"seconds\": {:.6}, \"ok\": {}}}",
-                json_string(&a.name),
-                a.seconds,
-                a.ok
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!(
-        "{{\n\
-         \x20 \"schema\": \"repro-bench-v1\",\n\
-         \x20 \"seed\": {seed},\n\
-         \x20 \"jobs\": {jobs},\n\
-         \x20 \"targets\": [{target_list}],\n\
-         \x20 \"artefacts\": [\n{artefact_list}\n  ],\n\
-         \x20 \"sequential_seconds\": {sequential_seconds:.6},\n\
-         \x20 \"parallel_seconds\": {parallel_seconds:.6},\n\
-         \x20 \"parallel_speedup\": {parallel_speedup:.4},\n\
-         \x20 \"sweep\": {{\n\
-         \x20   \"observers\": {observers},\n\
-         \x20   \"satellites\": {satellites},\n\
-         \x20   \"boundaries\": {boundaries},\n\
-         \x20   \"direct_seconds\": {direct:.6},\n\
-         \x20   \"cached_seconds\": {cached:.6},\n\
-         \x20   \"cache_hits\": {hits},\n\
-         \x20   \"cache_misses\": {misses},\n\
-         \x20   \"results_identical\": {identical},\n\
-         \x20   \"speedup\": {sweep_speedup:.4}\n\
-         \x20 }},\n\
-         \x20 \"queue\": {{\n\
-         \x20   \"pending\": {q_pending},\n\
-         \x20   \"churn_ops\": {q_ops},\n\
-         \x20   \"wheel_seconds\": {q_wheel:.6},\n\
-         \x20   \"heap_seconds\": {q_heap:.6},\n\
-         \x20   \"events_per_sec\": {q_eps:.1},\n\
-         \x20   \"heap_events_per_sec\": {q_heap_eps:.1},\n\
-         \x20   \"results_identical\": {q_identical},\n\
-         \x20   \"speedup\": {q_speedup:.4}\n\
-         \x20 }},\n\
-         \x20 \"events_per_sec\": {q_eps:.1},\n\
-         \x20 \"fig8_wall_seconds\": {fig8_wall_seconds},\n\
-         \x20 \"metrics\": {metrics_json},\n\
-         \x20 \"speedup\": {sweep_speedup:.4}\n\
-         }}\n",
-        metrics_json = metrics.to_json(2),
-        q_pending = queue.pending,
-        q_ops = queue.churn_ops,
-        q_wheel = queue.wheel_seconds,
-        q_heap = queue.heap_seconds,
-        q_eps = queue.events_per_sec,
-        q_heap_eps = queue.heap_events_per_sec,
-        q_identical = queue.results_identical,
-        q_speedup = queue.speedup,
-        observers = sweep.observers,
-        satellites = sweep.satellites,
-        boundaries = sweep.boundaries,
-        direct = sweep.direct_seconds,
-        cached = sweep.cached_seconds,
-        hits = sweep.cache_hits,
-        misses = sweep.cache_misses,
-        identical = sweep.results_identical,
-        sweep_speedup = sweep.speedup,
-    )
-}
-
-/// Writes the legacy single-file checkpoint durably: temp file, fsync,
-/// rename, parent-directory fsync — so a power cut mid-write leaves
-/// either the old checkpoint or the new one, never a torn file.
-fn write_checkpoint_file(path: &Path, blob: &[u8]) -> Result<(), String> {
-    let dir = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-        _ => PathBuf::from("."),
-    };
-    std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    let tmp = path.with_extension("ckpt.tmp");
-    let write = || -> std::io::Result<()> {
-        use std::io::Write;
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(blob)?;
-        f.sync_all()?;
-        Ok(())
-    };
-    write().map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, path)
-        .map_err(|e| format!("cannot rename into {}: {e}", path.display()))?;
-    sync_real_dir(&dir).map_err(|e| format!("cannot sync {}: {e}", dir.display()))?;
-    Ok(())
-}
-
-/// Opens the crash-consistent checkpoint chain for `--storage-faults`
-/// mode: a [`CheckpointStore`] over the real filesystem with the seeded
-/// fault plan injected. An injected crash during recovery exits with
-/// [`EXIT_INJECTED_CRASH`] so a driver loop can rerun with `--resume`.
-fn open_campaign_store(
-    dir: &Path,
-    plan: StorageFaultPlan,
-    validate: &mut dyn FnMut(&[u8]) -> bool,
-) -> Result<(CheckpointStore<FaultyDisk>, Option<Vec<u8>>), String> {
+/// Opens the campaign's checkpoint chain at `--checkpoint` when the run
+/// checkpoints or resumes, and under `--resume` rebuilds the campaign from
+/// the chain's newest intact generation with `resume` (the campaign's own
+/// `resume`, configuration bound). A chain with no recoverable generation
+/// restarts from day 0; one that belongs to another scenario is refused.
+/// An injected crash during recovery exits with [`EXIT_INJECTED_CRASH`].
+fn open_chain<C>(
+    o: &CampaignOpts,
+    resume: &dyn Fn(&[u8]) -> Result<C, CheckpointError>,
+) -> Result<(Option<CheckpointStore<FaultyDisk>>, Option<C>), String> {
+    if o.checkpoint_every == 0 && !o.resume {
+        return Ok((None, None));
+    }
+    let dir = &o.checkpoint;
     std::fs::create_dir_all(dir)
         .map_err(|e| format!("cannot create checkpoint dir {}: {e}", dir.display()))?;
-    let mut disk = FaultyDisk::new(Box::new(RealDisk::new(dir)), plan);
-    // Injected faults are one-shot, so a non-crash failure (ENOSPC on
-    // the initial manifest seal, say) is worth a bounded retry on the
-    // same disk — exactly what the simtest recovery loop does.
-    for attempt in 0..5 {
-        match CheckpointStore::open_default(disk, validate, SimTime::ZERO) {
-            Ok((store, recovered)) => return Ok((store, recovered.map(|r| r.blob))),
-            Err(f) if f.error == StorageError::Crashed => {
-                println!("[campaign] injected disk crash during recovery; rerun with --resume");
-                std::process::exit(EXIT_INJECTED_CRASH);
-            }
-            Err(f) if attempt < 4 => {
-                println!(
-                    "[campaign] checkpoint store open shed ({}); retrying",
-                    f.error
-                );
-                disk = f.disk;
-            }
-            Err(f) => {
-                return Err(format!(
-                    "cannot open checkpoint store {}: {}",
-                    dir.display(),
-                    f.error
-                ))
-            }
+    // Faults are one-shot per campaign: a --resume run opens the (possibly
+    // damaged) chain on a sound disk, because this process cannot know
+    // which seeded faults already fired before the crash — re-arming them
+    // would crash every recovery forever.
+    let plan = match o.storage_faults {
+        Some(fault_seed) if !o.resume => StorageFaultPlan::from_seed(fault_seed, 1, 1, 1, 2),
+        _ => StorageFaultPlan::new(),
+    };
+    let disk = FaultyDisk::new(Box::new(RealDisk::new(dir)), plan);
+    let (store, recovered) = open_campaign_chain(disk, resume, &mut |e| {
+        println!("[campaign] checkpoint store open shed ({e}); retrying")
+    })
+    .map_err(|f| {
+        if f.error == StorageError::Crashed {
+            println!("[campaign] injected disk crash during recovery; rerun with --resume");
+            std::process::exit(EXIT_INJECTED_CRASH);
         }
+        format!(
+            "cannot open checkpoint store {}: {}",
+            dir.display(),
+            f.error
+        )
+    })?;
+    let resumed = match recovered {
+        _ if !o.resume => None,
+        Some(outcome) => {
+            Some(outcome.map_err(|e| format!("refusing checkpoint {}: {e}", dir.display()))?)
+        }
+        // The crash landed before any generation sealed: the chain is
+        // empty and the campaign restarts deterministically.
+        None => {
+            println!(
+                "[campaign] no recoverable generation in {}; restarting from day 0",
+                dir.display()
+            );
+            None
+        }
+    };
+    Ok((Some(store), resumed))
+}
+
+/// Seals `blob` as the chain's next generation at the end of `day`. A
+/// storage failure sheds the attempt and the campaign continues
+/// un-poisoned — except an injected power loss, which ends the process
+/// with [`EXIT_INJECTED_CRASH`] for a `--resume` rerun.
+fn seal_checkpoint(
+    store: &mut CheckpointStore<FaultyDisk>,
+    o: &CampaignOpts,
+    blob: &[u8],
+    day: u64,
+) {
+    match store.store(blob, SimTime::from_secs(day * 86_400)) {
+        Ok(generation) => println!(
+            "[campaign] checkpoint generation {generation} at day {day} -> {}",
+            o.checkpoint.display()
+        ),
+        Err(StorageError::Crashed) => {
+            println!("[campaign] injected disk crash at day {day}; rerun with --resume");
+            std::process::exit(EXIT_INJECTED_CRASH);
+        }
+        Err(e) => println!("[campaign] checkpoint shed at day {day}: {e}"),
     }
-    unreachable!("loop returns or errors within 5 attempts");
 }
 
 /// Peak resident set size of this process in kB, from `VmHWM` in
@@ -1178,11 +760,6 @@ fn run_scaled_campaign(seed: u64, o: &CampaignOpts) -> Result<(), String> {
     if o.service {
         return Err("--service applies to the paper-faithful campaign, not --users".to_string());
     }
-    if o.storage_faults.is_some() {
-        return Err(
-            "--storage-faults applies to the paper-faithful campaign, not --users".to_string(),
-        );
-    }
     let config = ScaleConfig {
         seed,
         users: o.users,
@@ -1191,25 +768,25 @@ fn run_scaled_campaign(seed: u64, o: &CampaignOpts) -> Result<(), String> {
         ..ScaleConfig::default()
     };
 
-    let mut sc = if o.resume {
-        let bytes = std::fs::read(&o.checkpoint)
-            .map_err(|e| format!("cannot read checkpoint {}: {e}", o.checkpoint.display()))?;
-        let sc = ScaledCampaign::resume(config, &bytes)
-            .map_err(|e| format!("refusing checkpoint {}: {e}", o.checkpoint.display()))?;
-        println!(
-            "[campaign] resumed {} users / {} cities from {} at day {}",
-            config.users,
-            config.cities,
-            o.checkpoint.display(),
-            sc.next_day()
-        );
-        sc
-    } else {
-        println!(
-            "[campaign] population-scale mode: {} users, {} cities, {} days, {} worker(s)",
-            config.users, config.cities, config.days, o.jobs
-        );
-        ScaledCampaign::new(config)
+    let (mut store, resumed) = open_chain(o, &|blob| ScaledCampaign::resume(config, blob))?;
+    let mut sc = match resumed {
+        Some(sc) => {
+            println!(
+                "[campaign] resumed {} users / {} cities from {} at day {}",
+                config.users,
+                config.cities,
+                o.checkpoint.display(),
+                sc.next_day()
+            );
+            sc
+        }
+        None => {
+            println!(
+                "[campaign] population-scale mode: {} users, {} cities, {} days, {} worker(s)",
+                config.users, config.cities, config.days, o.jobs
+            );
+            ScaledCampaign::new(config)
+        }
     };
 
     let start_day = sc.next_day();
@@ -1219,11 +796,8 @@ fn run_scaled_campaign(seed: u64, o: &CampaignOpts) -> Result<(), String> {
         let day = sc.next_day();
         let due = o.checkpoint_every > 0 && day % o.checkpoint_every == 0 && !sc.is_finished();
         if due {
-            write_checkpoint_file(&o.checkpoint, &sc.checkpoint())?;
-            println!(
-                "[campaign] checkpoint at day {day} -> {}",
-                o.checkpoint.display()
-            );
+            let store = store.as_mut().expect("--checkpoint-every opens the chain");
+            seal_checkpoint(store, o, &sc.checkpoint(), day);
         }
         if let Some(kill) = o.kill_at_day {
             if day >= kill && !sc.is_finished() {
@@ -1311,62 +885,19 @@ fn run_campaign(seed: u64, o: &CampaignOpts) -> Result<(), String> {
         println!("[campaign] service mode: SLCS sessions under the overloaded admission budget");
     }
 
-    // With --storage-faults the single checkpoint file becomes a
-    // crash-consistent generation chain under the injected fault plan;
-    // --resume then recovers the newest blob that still resumes cleanly.
-    let mut store = None;
-    let mut recovered_blob = None;
-    if let Some(fault_seed) = o.storage_faults {
-        // Faults are one-shot per campaign: a --resume run opens the
-        // (possibly damaged) chain on a sound disk, because this process
-        // cannot know which seeded faults already fired before the crash
-        // — re-arming them would crash every recovery forever.
-        let plan = if o.resume {
-            StorageFaultPlan::new()
-        } else {
-            StorageFaultPlan::from_seed(fault_seed, 1, 1, 1, 2)
-        };
-        let (vconfig, voptions) = (config.clone(), options.clone());
-        let mut validate = move |blob: &[u8]| {
-            ResilientCampaign::resume(vconfig.clone(), voptions.clone(), blob).is_ok()
-        };
-        let (s, blob) = open_campaign_store(&o.checkpoint, plan, &mut validate)?;
-        store = Some(s);
-        recovered_blob = blob;
-    }
-
-    let mut rc = if o.resume {
-        let bytes =
-            if o.storage_faults.is_some() {
-                recovered_blob
-            } else {
-                Some(std::fs::read(&o.checkpoint).map_err(|e| {
-                    format!("cannot read checkpoint {}: {e}", o.checkpoint.display())
-                })?)
-            };
-        match bytes {
-            Some(bytes) => {
-                let rc = ResilientCampaign::resume(config, options, &bytes)
-                    .map_err(|e| format!("refusing checkpoint {}: {e}", o.checkpoint.display()))?;
-                println!(
-                    "[campaign] resumed from {} at day {}",
-                    o.checkpoint.display(),
-                    rc.next_day()
-                );
-                rc
-            }
-            // The crash landed before any generation sealed: the chain
-            // is empty and the campaign restarts deterministically.
-            None => {
-                println!(
-                    "[campaign] no recoverable generation in {}; restarting from day 0",
-                    o.checkpoint.display()
-                );
-                ResilientCampaign::new(config, options)
-            }
+    let (mut store, resumed) = open_chain(o, &|blob| {
+        ResilientCampaign::resume(config.clone(), options.clone(), blob)
+    })?;
+    let mut rc = match resumed {
+        Some(rc) => {
+            println!(
+                "[campaign] resumed from {} at day {}",
+                o.checkpoint.display(),
+                rc.next_day()
+            );
+            rc
         }
-    } else {
-        ResilientCampaign::new(config, options)
+        None => ResilientCampaign::new(config, options),
     };
 
     while !rc.is_finished() {
@@ -1374,29 +905,8 @@ fn run_campaign(seed: u64, o: &CampaignOpts) -> Result<(), String> {
         let day = rc.next_day();
         let due = o.checkpoint_every > 0 && day % o.checkpoint_every == 0 && !rc.is_finished();
         if due {
-            if let Some(store) = store.as_mut() {
-                match store.store(&rc.checkpoint(), SimTime::from_secs(day * 86_400)) {
-                    Ok(generation) => println!(
-                        "[campaign] checkpoint generation {generation} at day {day} -> {}",
-                        o.checkpoint.display()
-                    ),
-                    Err(StorageError::Crashed) => {
-                        println!(
-                            "[campaign] injected disk crash at day {day}; rerun with --resume"
-                        );
-                        std::process::exit(EXIT_INJECTED_CRASH);
-                    }
-                    // Anything else (ENOSPC, bit rot surfacing later) sheds
-                    // this attempt; the campaign continues un-poisoned.
-                    Err(e) => println!("[campaign] checkpoint shed at day {day}: {e}"),
-                }
-            } else {
-                write_checkpoint_file(&o.checkpoint, &rc.checkpoint())?;
-                println!(
-                    "[campaign] checkpoint at day {day} -> {}",
-                    o.checkpoint.display()
-                );
-            }
+            let store = store.as_mut().expect("--checkpoint-every opens the chain");
+            seal_checkpoint(store, o, &rc.checkpoint(), day);
         }
         if let Some(kill) = o.kill_at_day {
             if day >= kill && !rc.is_finished() {

@@ -1,8 +1,8 @@
 //! Tier-1 determinism tests for the parallel repro harness: `--jobs N`
 //! must emit byte-identical stdout to `--jobs 1`, `--trace`/`--metrics`
 //! must emit byte-identical observability artefacts across job counts
-//! and repeated runs, and `--bench` must write a well-formed
-//! `BENCH_repro.json`.
+//! and repeated runs, and the removed `--bench` flag must be a usage
+//! error (timing lives in `benchmark/`).
 
 use std::process::Command;
 
@@ -123,53 +123,14 @@ fn trace_and_metrics_are_byte_identical_across_jobs() {
 }
 
 #[test]
-fn bench_mode_writes_parseable_json_with_speedup() {
-    let out_dir = std::env::temp_dir().join(format!("repro_bench_{}", std::process::id()));
+fn removed_bench_flag_is_a_usage_error() {
     let output = repro()
-        .args(["--bench", "--jobs", "2", "--out"])
-        .arg(&out_dir)
-        .args(["fig1", "fig7"])
+        .args(["--bench", "fig1"])
         .output()
         .expect("repro binary runs");
-    assert!(
-        output.status.success(),
-        "bench run failed: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-
-    let json = std::fs::read_to_string(out_dir.join("BENCH_repro.json"))
-        .expect("BENCH_repro.json written");
-    let _ = std::fs::remove_dir_all(&out_dir);
-
-    // No serde in the workspace: assert the shape textually. The sweep
-    // speedup is the cached-vs-direct constellation path and must beat
-    // the pre-snapshot scan.
-    assert!(json.contains("\"schema\": \"repro-bench-v1\""), "{json}");
-    assert!(json.contains("\"results_identical\": true"), "{json}");
-    // The sweep cache counts per instance now: 8 observers x 40
-    // boundaries means exactly 40 misses (one per unique boundary) and
-    // 280 hits — any other number means the cache stopped sharing.
-    assert!(json.contains("\"cache_hits\": 280"), "{json}");
-    assert!(json.contains("\"cache_misses\": 40"), "{json}");
-    // The merged per-artefact metrics registry rides along.
-    assert!(json.contains("\"metrics\": {"), "{json}");
-    assert!(json.contains("\"counters\": {"), "{json}");
-    for key in [
-        "\"artefacts\"",
-        "\"sequential_seconds\"",
-        "\"parallel_seconds\"",
-        "\"cache_hits\"",
-        "\"speedup\"",
-    ] {
-        assert!(json.contains(key), "missing {key} in:\n{json}");
-    }
-    let speedup: f64 = json
-        .lines()
-        .rev()
-        .find_map(|l| l.trim().strip_prefix("\"speedup\": "))
-        .expect("top-level speedup present")
-        .trim_end_matches(',')
-        .parse()
-        .expect("speedup is a number");
-    assert!(speedup >= 1.0, "cached sweep slower than direct: {speedup}");
+    assert_eq!(output.status.code(), Some(2), "usage errors exit 2");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("unknown flag: --bench"), "{stderr}");
+    assert!(stderr.contains("usage: repro"), "{stderr}");
+    assert!(output.stdout.is_empty(), "no artefact may run");
 }

@@ -344,6 +344,28 @@ mod tests {
         assert_eq!(cache.stats(), (1, 1));
         cache.reset_stats();
         assert_eq!(cache.stats(), (0, 0));
+
+        // A multi-observer handover sweep: 8 observers over 40 shared
+        // epoch boundaries propagate once per boundary — exactly 40
+        // misses and 280 hits — and pick what the direct scan picks.
+        let cache = SnapshotCache::new(&c);
+        let observers: Vec<Geodetic> = (0..8)
+            .map(|i| Geodetic::on_surface(25.0 + 4.0 * i as f64, -120.0 + 30.0 * i as f64))
+            .collect();
+        let mask = crate::view::SHELL1_MIN_ELEVATION_DEG;
+        for k in 0..40u64 {
+            let t = SimDuration::from_secs(15 * k);
+            for &obs in &observers {
+                assert_eq!(
+                    cache.at(t).best_visible(obs, mask).map(|v| v.index),
+                    direct_visible_from(&c, obs, t, mask)
+                        .first()
+                        .map(|v| v.index),
+                    "boundary {k}"
+                );
+            }
+        }
+        assert_eq!(cache.stats(), (280, 40));
     }
 
     #[test]

@@ -8,26 +8,22 @@
 //! events in an order that depends on internal layout, and a simulation
 //! seeded identically could diverge.
 //!
-//! Two interchangeable backends implement that contract:
+//! The implementation is a hierarchical timing wheel: five levels of 64
+//! slots each, 8.192 µs per level-0 tick, with a `BTreeMap` overflow stage
+//! for events beyond the ~2.4 h wheel horizon. Scheduling is O(1); popping
+//! amortises the per-tick slot drain over the events in it. Slot vectors
+//! are drained, never freed, so the steady-state schedule/pop cycle
+//! performs no heap allocation.
 //!
-//! * [`QueueBackend::TimingWheel`] (the default) — a hierarchical timing
-//!   wheel: five levels of 64 slots each, 8.192 µs per level-0 tick, with
-//!   a `BTreeMap` overflow stage for events beyond the ~2.4 h wheel
-//!   horizon. Scheduling is O(1); popping amortises the per-tick slot
-//!   drain over the events in it. Slot vectors are drained, never freed,
-//!   so the steady-state schedule/pop cycle performs no heap allocation.
-//! * [`QueueBackend::BinaryHeap`] — the original `BinaryHeap`
-//!   implementation, retained verbatim as the reference model for the
-//!   differential test suite and selectable at runtime via the
-//!   `STARLINK_EVENT_QUEUE=heap` environment variable (the review-time
-//!   escape hatch: both backends must produce byte-identical simulations).
+//! The contract it must meet is the `(time, seq)` binary-heap model kept in
+//! `tests/queue_differential.rs`, which drives the wheel and the model in
+//! lockstep (proptests plus a 100k-op soak); the unit tests below pin the
+//! ordering cases with literal expectations.
 //!
 //! See `DESIGN.md` §5h for the bucket geometry and the determinism
 //! argument.
 
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
-use std::sync::OnceLock;
+use std::collections::BTreeMap;
 
 use crate::time::SimTime;
 
@@ -41,62 +37,6 @@ pub struct ScheduledEvent<E> {
     pub seq: u64,
     /// The caller's payload.
     pub payload: E,
-}
-
-/// Which internal data structure an [`EventQueue`] runs on.
-///
-/// Both backends implement the exact `(time, seq)` pop order; the wheel is
-/// the fast path, the heap is the differential-oracle reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueBackend {
-    /// Hierarchical timing wheel with a sorted overflow stage (default).
-    TimingWheel,
-    /// The original binary-heap implementation (reference model).
-    BinaryHeap,
-}
-
-impl QueueBackend {
-    /// The backend selected by the `STARLINK_EVENT_QUEUE` environment
-    /// variable: `heap` (or `binary-heap`) picks [`QueueBackend::BinaryHeap`],
-    /// anything else — including unset — picks the timing wheel. The
-    /// variable is read once per process so every queue in a run agrees.
-    pub fn from_env() -> QueueBackend {
-        static CHOICE: OnceLock<QueueBackend> = OnceLock::new();
-        *CHOICE.get_or_init(|| match std::env::var("STARLINK_EVENT_QUEUE") {
-            Ok(v) if v.eq_ignore_ascii_case("heap") || v.eq_ignore_ascii_case("binary-heap") => {
-                QueueBackend::BinaryHeap
-            }
-            _ => QueueBackend::TimingWheel,
-        })
-    }
-}
-
-/// Internal heap entry. Ordered so that the `BinaryHeap` (a max-heap) pops
-/// the *smallest* `(time, seq)` first.
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    payload: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: the max-heap must surface the earliest event.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
 }
 
 /// Slots per wheel level; must be a power of two for the mask arithmetic.
@@ -135,7 +75,7 @@ fn wheel_level(cursor: u64, tick: u64) -> Option<usize> {
     (level < LEVELS).then_some(level)
 }
 
-/// The hierarchical timing wheel backend.
+/// The hierarchical timing wheel behind [`EventQueue`].
 ///
 /// Invariants (see DESIGN.md §5h):
 /// * every event in `slots` or `overflow` has `tick >= cursor`;
@@ -354,11 +294,6 @@ impl<E> Wheel<E> {
     }
 }
 
-enum BackendImpl<E> {
-    Wheel(Wheel<E>),
-    Heap(BinaryHeap<Entry<E>>),
-}
-
 /// A deterministic discrete-event queue.
 ///
 /// The queue does not own a clock; callers track "now" themselves (usually
@@ -378,7 +313,7 @@ enum BackendImpl<E> {
 /// assert_eq!(fired, vec!["a", "b", "c"]); // time order, then schedule order
 /// ```
 pub struct EventQueue<E> {
-    backend: BackendImpl<E>,
+    wheel: Wheel<E>,
     next_seq: u64,
     high_watermark: usize,
 }
@@ -390,40 +325,12 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue on the process-default backend (the timing
-    /// wheel, unless `STARLINK_EVENT_QUEUE=heap` — see
-    /// [`QueueBackend::from_env`]).
+    /// Creates an empty queue.
     pub fn new() -> Self {
-        Self::with_backend(QueueBackend::from_env())
-    }
-
-    /// Creates an empty queue on an explicitly chosen backend.
-    pub fn with_backend(backend: QueueBackend) -> Self {
         EventQueue {
-            backend: match backend {
-                QueueBackend::TimingWheel => BackendImpl::Wheel(Wheel::new()),
-                QueueBackend::BinaryHeap => BackendImpl::Heap(BinaryHeap::new()),
-            },
+            wheel: Wheel::new(),
             next_seq: 0,
             high_watermark: 0,
-        }
-    }
-
-    /// Creates an empty queue with room for `cap` events before reallocating.
-    pub fn with_capacity(cap: usize) -> Self {
-        let mut q = Self::new();
-        match &mut q.backend {
-            BackendImpl::Wheel(w) => w.ready.reserve(cap.min(SLOTS)),
-            BackendImpl::Heap(h) => h.reserve(cap),
-        }
-        q
-    }
-
-    /// The backend this queue runs on.
-    pub fn backend(&self) -> QueueBackend {
-        match self.backend {
-            BackendImpl::Wheel(_) => QueueBackend::TimingWheel,
-            BackendImpl::Heap(_) => QueueBackend::BinaryHeap,
         }
     }
 
@@ -432,10 +339,7 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, time: SimTime, payload: E) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        match &mut self.backend {
-            BackendImpl::Wheel(w) => w.insert(time, seq, payload),
-            BackendImpl::Heap(h) => h.push(Entry { time, seq, payload }),
-        }
+        self.wheel.insert(time, seq, payload);
         starlink_obsv::counter_add("simcore.events_scheduled", 1);
         let len = self.len();
         if len > self.high_watermark {
@@ -448,31 +352,15 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event, or `None` if the queue is
     /// empty.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        let popped = match &mut self.backend {
-            BackendImpl::Wheel(w) => {
-                w.pop()
-                    .map(|(time, seq, payload)| ScheduledEvent { time, seq, payload })
-            }
-            BackendImpl::Heap(h) => h.pop().map(|e| ScheduledEvent {
-                time: e.time,
-                seq: e.seq,
-                payload: e.payload,
-            }),
-        };
-        if popped.is_some() {
-            starlink_obsv::counter_add("simcore.events_popped", 1);
-        }
-        popped
+        let (time, seq, payload) = self.wheel.pop()?;
+        starlink_obsv::counter_add("simcore.events_popped", 1);
+        Some(ScheduledEvent { time, seq, payload })
     }
 
     /// Removes and returns the earliest event if it fires at or before
     /// `deadline`.
     pub fn pop_before(&mut self, deadline: SimTime) -> Option<ScheduledEvent<E>> {
-        let fires = match &mut self.backend {
-            BackendImpl::Wheel(w) => w.peek_next().map(|e| e.0),
-            BackendImpl::Heap(h) => h.peek().map(|e| e.time),
-        };
-        if fires? <= deadline {
+        if self.wheel.peek_next()?.0 <= deadline {
             self.pop()
         } else {
             None
@@ -481,18 +369,12 @@ impl<E> EventQueue<E> {
 
     /// The fire time of the earliest event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            BackendImpl::Wheel(w) => w.peek_time(),
-            BackendImpl::Heap(h) => h.peek().map(|e| e.time),
-        }
+        self.wheel.peek_time()
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            BackendImpl::Wheel(w) => w.len,
-            BackendImpl::Heap(h) => h.len(),
-        }
+        self.wheel.len
     }
 
     /// Whether no events are pending.
@@ -503,10 +385,7 @@ impl<E> EventQueue<E> {
     /// Drops all pending events (the sequence counter keeps advancing, so
     /// determinism is preserved across a clear).
     pub fn clear(&mut self) {
-        match &mut self.backend {
-            BackendImpl::Wheel(w) => w.clear(),
-            BackendImpl::Heap(h) => h.clear(),
-        }
+        self.wheel.clear();
     }
 
     /// The largest number of events ever simultaneously pending.
@@ -520,122 +399,104 @@ mod tests {
     use super::*;
     use crate::time::SimDuration;
 
-    const BACKENDS: [QueueBackend; 2] = [QueueBackend::TimingWheel, QueueBackend::BinaryHeap];
-
     #[test]
     fn pops_in_time_order() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule(SimTime::from_millis(30), 3u32);
-            q.schedule(SimTime::from_millis(10), 1);
-            q.schedule(SimTime::from_millis(20), 2);
-            let got: Vec<u32> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-            assert_eq!(got, vec![1, 2, 3]);
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_millis(30), 3u32);
+        q.schedule(SimTime::from_millis(10), 1);
+        q.schedule(SimTime::from_millis(20), 2);
+        let got: Vec<u32> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
+        assert_eq!(got, vec![1, 2, 3]);
     }
 
     #[test]
     fn ties_fire_in_schedule_order() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            let t = SimTime::from_secs(1);
-            for i in 0..100u32 {
-                q.schedule(t, i);
-            }
-            let got: Vec<u32> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-            let want: Vec<u32> = (0..100).collect();
-            assert_eq!(got, want);
+        let mut q = EventQueue::new();
+        let t = SimTime::from_secs(1);
+        for i in 0..100u32 {
+            q.schedule(t, i);
         }
+        let got: Vec<u32> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
+        let want: Vec<u32> = (0..100).collect();
+        assert_eq!(got, want);
     }
 
     #[test]
     fn pop_before_respects_deadline() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule(SimTime::from_millis(10), "early");
-            q.schedule(SimTime::from_millis(30), "late");
-            assert_eq!(
-                q.pop_before(SimTime::from_millis(20)).map(|e| e.payload),
-                Some("early")
-            );
-            assert!(q.pop_before(SimTime::from_millis(20)).is_none());
-            assert_eq!(q.len(), 1);
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_millis(10), "early");
+        q.schedule(SimTime::from_millis(30), "late");
+        assert_eq!(
+            q.pop_before(SimTime::from_millis(20)).map(|e| e.payload),
+            Some("early")
+        );
+        assert!(q.pop_before(SimTime::from_millis(20)).is_none());
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
     fn peek_does_not_consume() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule(SimTime::from_millis(5), ());
-            assert_eq!(q.peek_time(), Some(SimTime::from_millis(5)));
-            assert_eq!(q.len(), 1);
-            assert!(!q.is_empty());
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_millis(5), ());
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(5)));
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
     }
 
     #[test]
     fn clear_preserves_sequence_monotonicity() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            let s1 = q.schedule(SimTime::ZERO, ());
-            q.clear();
-            let s2 = q.schedule(SimTime::ZERO, ());
-            assert!(s2 > s1);
-            assert_eq!(q.len(), 1);
-        }
+        let mut q = EventQueue::new();
+        let s1 = q.schedule(SimTime::ZERO, ());
+        q.clear();
+        let s2 = q.schedule(SimTime::ZERO, ());
+        assert!(s2 > s1);
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
     fn interleaved_schedule_and_pop() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            let mut now = SimTime::ZERO;
-            q.schedule(now + SimDuration::from_millis(1), 1u32);
-            q.schedule(now + SimDuration::from_millis(5), 5);
-            let e = q.pop().unwrap();
-            now = e.time;
-            assert_eq!(e.payload, 1);
-            // Schedule something between now and the pending event.
-            q.schedule(now + SimDuration::from_millis(2), 3);
-            let got: Vec<u32> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-            assert_eq!(got, vec![3, 5]);
-        }
+        let mut q = EventQueue::new();
+        let mut now = SimTime::ZERO;
+        q.schedule(now + SimDuration::from_millis(1), 1u32);
+        q.schedule(now + SimDuration::from_millis(5), 5);
+        let e = q.pop().unwrap();
+        now = e.time;
+        assert_eq!(e.payload, 1);
+        // Schedule something between now and the pending event.
+        q.schedule(now + SimDuration::from_millis(2), 3);
+        let got: Vec<u32> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
+        assert_eq!(got, vec![3, 5]);
     }
 
     #[test]
     fn schedule_in_the_past_still_pops_in_order() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule(SimTime::from_secs(10), "future");
-            // Advance the queue's internal horizon past t=10s...
-            assert_eq!(q.pop().map(|e| e.payload), Some("future"));
-            // ...then schedule before it: must still fire, earliest first.
-            q.schedule(SimTime::from_secs(2), "b");
-            q.schedule(SimTime::from_secs(1), "a");
-            q.schedule(SimTime::from_secs(11), "c");
-            let got: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-            assert_eq!(got, vec!["a", "b", "c"]);
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(10), "future");
+        // Advance the queue's internal horizon past t=10s...
+        assert_eq!(q.pop().map(|e| e.payload), Some("future"));
+        // ...then schedule before it: must still fire, earliest first.
+        q.schedule(SimTime::from_secs(2), "b");
+        q.schedule(SimTime::from_secs(1), "a");
+        q.schedule(SimTime::from_secs(11), "c");
+        let got: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
+        assert_eq!(got, vec!["a", "b", "c"]);
     }
 
     #[test]
     fn long_horizon_timers_cross_the_overflow_stage() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            // Beyond the wheel horizon (~2.4 h): days-scale timers.
-            q.schedule(SimTime::from_secs(2 * 86_400), "day2");
-            q.schedule(SimTime::from_secs(5 * 3_600), "h5");
-            q.schedule(SimTime::from_millis(1), "now-ish");
-            q.schedule(SimTime::from_secs(2 * 86_400), "day2-later");
-            let got: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-            assert_eq!(got, vec!["now-ish", "h5", "day2", "day2-later"]);
-        }
+        let mut q = EventQueue::new();
+        // Beyond the wheel horizon (~2.4 h): days-scale timers.
+        q.schedule(SimTime::from_secs(2 * 86_400), "day2");
+        q.schedule(SimTime::from_secs(5 * 3_600), "h5");
+        q.schedule(SimTime::from_millis(1), "now-ish");
+        q.schedule(SimTime::from_secs(2 * 86_400), "day2-later");
+        let got: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
+        assert_eq!(got, vec!["now-ish", "h5", "day2", "day2-later"]);
     }
 
     #[test]
     fn peek_time_sees_every_stage() {
-        let mut q = EventQueue::with_backend(QueueBackend::TimingWheel);
+        let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(3 * 86_400), ());
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(3 * 86_400)));
         q.schedule(SimTime::from_secs(7 * 60), ());
@@ -646,25 +507,15 @@ mod tests {
     }
 
     #[test]
-    fn backend_selection_is_explicit() {
-        let wheel = EventQueue::<u8>::with_backend(QueueBackend::TimingWheel);
-        let heap = EventQueue::<u8>::with_backend(QueueBackend::BinaryHeap);
-        assert_eq!(wheel.backend(), QueueBackend::TimingWheel);
-        assert_eq!(heap.backend(), QueueBackend::BinaryHeap);
-    }
-
-    #[test]
     fn high_watermark_tracks_peak_len() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            for i in 0..10u64 {
-                q.schedule(SimTime::from_millis(i), i);
-            }
-            for _ in 0..5 {
-                q.pop();
-            }
-            q.schedule(SimTime::from_secs(1), 99);
-            assert_eq!(q.high_watermark(), 10);
+        let mut q = EventQueue::new();
+        for i in 0..10u64 {
+            q.schedule(SimTime::from_millis(i), i);
         }
+        for _ in 0..5 {
+            q.pop();
+        }
+        q.schedule(SimTime::from_secs(1), 99);
+        assert_eq!(q.high_watermark(), 10);
     }
 }

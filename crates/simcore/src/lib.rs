@@ -13,9 +13,9 @@
 //!   simulated.
 //! * [`EventQueue`] — a hierarchical timing-wheel event queue with **stable
 //!   tie-breaking** (events scheduled for the same instant fire in
-//!   scheduling order), which is what makes runs reproducible. The original
-//!   binary-heap implementation is retained as a differential reference
-//!   model, selectable with [`QueueBackend`].
+//!   scheduling order), which is what makes runs reproducible. Its
+//!   `(time, seq)` binary-heap reference model lives in
+//!   `tests/queue_differential.rs`, which drives the two in lockstep.
 //! * [`SimRng`] — a seedable, splittable pseudo-random generator
 //!   (xoshiro256++) with labelled sub-streams so that adding randomness to
 //!   one component never perturbs another.
@@ -69,7 +69,7 @@ pub mod units;
 
 pub use digest::StreamingDigest;
 pub use dist::Dist;
-pub use event::{EventQueue, QueueBackend, ScheduledEvent};
+pub use event::{EventQueue, ScheduledEvent};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 pub use units::{Bytes, DataRate, Meters};

@@ -1,14 +1,52 @@
 //! Differential oracle for the timing-wheel event queue.
 //!
-//! Every property drives the wheel and the retained `BinaryHeap` reference
-//! backend through an identical operation sequence and asserts the two
-//! produce the same observable behaviour: pop sequences (time, seq and
-//! payload), `pop_before` outcomes, `peek_time` answers, and lengths. The
-//! heap implementation is the pre-wheel code kept verbatim, so agreement
-//! here is what licenses swapping the backend under the whole simulator.
+//! Every property drives [`EventQueue`] and the `(time, seq)` binary-heap
+//! reference model below through an identical operation sequence and
+//! asserts the two produce the same observable behaviour: pop sequences
+//! (time, seq and payload), `pop_before` outcomes, `peek_time` answers, and
+//! lengths. The model is the queue's contract written the obvious way —
+//! the pre-wheel implementation — so agreement here is what licenses
+//! running the whole simulator on the wheel.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use proptest::prelude::*;
-use starlink_simcore::{EventQueue, QueueBackend, ScheduledEvent, SimRng, SimTime};
+use starlink_simcore::{EventQueue, ScheduledEvent, SimRng, SimTime};
+
+/// The reference model: a min-heap on `(time, seq)` with `seq` assigned at
+/// scheduling time. `seq` is unique, so the payload never decides order.
+#[derive(Default)]
+struct HeapModel {
+    heap: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
+    next_seq: u64,
+}
+
+impl HeapModel {
+    fn schedule(&mut self, time: SimTime, payload: usize) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Reverse((time, seq, payload)));
+        seq
+    }
+
+    fn pop(&mut self) -> Option<ScheduledEvent<usize>> {
+        let Reverse((time, seq, payload)) = self.heap.pop()?;
+        Some(ScheduledEvent { time, seq, payload })
+    }
+
+    fn pop_before(&mut self, deadline: SimTime) -> Option<ScheduledEvent<usize>> {
+        if self.peek_time()? <= deadline {
+            self.pop()
+        } else {
+            None
+        }
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse((time, _, _))| *time)
+    }
+}
 
 /// One queue operation, drawn by the strategies below.
 #[derive(Debug, Clone)]
@@ -24,11 +62,11 @@ fn same_event(a: &ScheduledEvent<usize>, b: &ScheduledEvent<usize>) -> bool {
     a.time == b.time && a.seq == b.seq && a.payload == b.payload
 }
 
-/// Applies `ops` to both backends in lockstep, asserting identical
-/// observable behaviour after every single step.
+/// Applies `ops` to the queue and the model in lockstep, asserting
+/// identical observable behaviour after every single step.
 fn run_differential(ops: &[Op]) -> Result<(), TestCaseError> {
-    let mut wheel = EventQueue::with_backend(QueueBackend::TimingWheel);
-    let mut heap = EventQueue::with_backend(QueueBackend::BinaryHeap);
+    let mut wheel = EventQueue::new();
+    let mut heap = HeapModel::default();
     let mut payload = 0usize;
     for op in ops {
         match *op {
@@ -60,12 +98,13 @@ fn run_differential(ops: &[Op]) -> Result<(), TestCaseError> {
                 prop_assert_eq!(wheel.peek_time(), heap.peek_time(), "peek_time diverged");
             }
             Op::Clear => {
+                // The sequence counter survives a clear on both sides.
                 wheel.clear();
-                heap.clear();
+                heap.heap.clear();
             }
         }
-        prop_assert_eq!(wheel.len(), heap.len(), "len diverged");
-        prop_assert_eq!(wheel.is_empty(), heap.is_empty());
+        prop_assert_eq!(wheel.len(), heap.heap.len(), "len diverged");
+        prop_assert_eq!(wheel.is_empty(), heap.heap.is_empty());
     }
     // Drain whatever is left: the full residual order must agree too.
     loop {
@@ -107,7 +146,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 proptest! {
     /// Random interleavings of every queue operation behave identically on
-    /// both backends.
+    /// the wheel and the model.
     #[test]
     fn wheel_matches_heap_on_random_ops(
         ops in proptest::collection::vec(op_strategy(), 1..400),

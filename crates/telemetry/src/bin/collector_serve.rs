@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! collector-serve --listen 127.0.0.1:7878 \
-//!     [--checkpoint PATH | --checkpoint-dir DIR] [--checkpoint-every N] \
+//!     [--checkpoint-dir DIR] [--checkpoint-every N] \
 //!     [--retain K] [--digest PATH] [--exit-on-drain] \
 //!     [--storage-faults SEED | --torn-write-at N | --bit-rot-at N \
 //!      | --enospc-at N | --crash-before-rename-at N | --crash-after-rename-at N] \
@@ -15,18 +15,13 @@
 //! virtual clock as nanoseconds since process start; the admission layer
 //! tolerates the non-monotonic interleavings real threads produce.
 //!
-//! Durability comes in two tiers:
-//!
-//! * `--checkpoint PATH` — the legacy single-file path: temp file,
-//!   `fsync`, atomic rename, directory `fsync` (power-loss safe, but a
-//!   damaged blob at startup is fatal);
-//! * `--checkpoint-dir DIR` — the journaled last-good chain
-//!   ([`CheckpointStore`]): generation-numbered `ckpt-<gen>.slcp` files
-//!   behind a CRC-sealed MANIFEST, `--retain K` generations kept, and
-//!   startup recovery that walks back to the newest generation
-//!   `decode_server_checkpoint` accepts, quarantining damaged blobs
-//!   aside. A storage failure during a checkpoint *sheds the attempt*
-//!   (typed, traced) and the service keeps admitting.
+//! Durability is `--checkpoint-dir DIR`, the journaled last-good chain
+//! ([`CheckpointStore`]): generation-numbered `ckpt-<gen>.slcp` files
+//! behind a CRC-sealed MANIFEST, `--retain K` generations kept, and
+//! startup recovery that walks back to the newest generation
+//! `decode_server_checkpoint` accepts, quarantining damaged blobs aside.
+//! A storage failure during a checkpoint *sheds the attempt* (typed,
+//! traced) and the service keeps admitting.
 //!
 //! Disk faults are injectable deterministically for the CI storage-smoke
 //! matrix: `--storage-faults SEED` draws a mixed plan the same way the
@@ -42,8 +37,8 @@
 use starlink_simcore::SimTime;
 use starlink_telemetry::slcs::{peek_frame_len, SLCS_HEADER_LEN};
 use starlink_telemetry::storage::{
-    sync_real_dir, CheckpointStore, FaultyDisk, RealDisk, StorageError, StorageFault,
-    StorageFaultPlan, DEFAULT_RETAIN,
+    CheckpointStore, FaultyDisk, RealDisk, StorageError, StorageFault, StorageFaultPlan,
+    DEFAULT_RETAIN,
 };
 use starlink_telemetry::SLCS_MAGIC;
 use starlink_telemetry::{
@@ -62,7 +57,6 @@ const EXIT_INJECTED_CRASH: i32 = 13;
 
 struct Opts {
     listen: String,
-    checkpoint: Option<PathBuf>,
     checkpoint_dir: Option<PathBuf>,
     checkpoint_every: u64,
     retain: u64,
@@ -77,8 +71,8 @@ fn usage(err: &str) -> ! {
         eprintln!("error: {err}\n");
     }
     eprintln!(
-        "usage: collector-serve --listen ADDR [--checkpoint PATH | --checkpoint-dir DIR]\n\
-         \x20      [--checkpoint-every N] [--retain K] [--digest PATH] [--exit-on-drain]\n\
+        "usage: collector-serve --listen ADDR [--checkpoint-dir DIR] [--checkpoint-every N]\n\
+         \x20      [--retain K] [--digest PATH] [--exit-on-drain]\n\
          \x20      [--storage-faults SEED] [--torn-write-at N] [--bit-rot-at N]\n\
          \x20      [--enospc-at N] [--crash-before-rename-at N] [--crash-after-rename-at N]\n\
          \x20      [--rate-milli R] [--burst B] [--queue Q] [--global-bytes G] [--drain-bps D]"
@@ -89,7 +83,6 @@ fn usage(err: &str) -> ! {
 fn parse_opts() -> Opts {
     let mut opts = Opts {
         listen: String::new(),
-        checkpoint: None,
         checkpoint_dir: None,
         checkpoint_every: 64,
         retain: DEFAULT_RETAIN,
@@ -107,12 +100,6 @@ fn parse_opts() -> Opts {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--listen" => opts.listen = it.next().unwrap_or_else(|| usage("--listen needs ADDR")),
-            "--checkpoint" => {
-                opts.checkpoint = Some(PathBuf::from(
-                    it.next()
-                        .unwrap_or_else(|| usage("--checkpoint needs PATH")),
-                ))
-            }
             "--checkpoint-dir" => {
                 opts.checkpoint_dir = Some(PathBuf::from(
                     it.next()
@@ -172,9 +159,6 @@ fn parse_opts() -> Opts {
     if opts.listen.is_empty() {
         usage("--listen is required");
     }
-    if opts.checkpoint.is_some() && opts.checkpoint_dir.is_some() {
-        usage("--checkpoint and --checkpoint-dir are mutually exclusive");
-    }
     if !opts.plan.is_empty() && opts.checkpoint_dir.is_none() {
         usage("storage faults need --checkpoint-dir (the store is the faultable surface)");
     }
@@ -197,22 +181,6 @@ impl Core {
         let s = self.server.stats();
         s.accepted + s.duplicates + s.quarantined
     }
-}
-
-/// Seals the collector to `path` via temp file, `fsync`, atomic rename,
-/// and directory `fsync`, so neither a kill mid-write nor a power loss
-/// right after the rename can leave a torn or vanishing checkpoint.
-fn write_checkpoint(path: &Path, collector: &Collector) -> std::io::Result<()> {
-    let blob = encode_server_checkpoint(collector);
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, &blob)?;
-    std::fs::File::open(&tmp)?.sync_all()?;
-    std::fs::rename(&tmp, path)?;
-    let parent = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-        _ => PathBuf::from("."),
-    };
-    sync_real_dir(&parent).map_err(|e| std::io::Error::other(e.to_string()))
 }
 
 fn write_digest(path: &Path, collector: &Collector) -> std::io::Result<()> {
@@ -281,9 +249,6 @@ fn serve_connection(
                 if let Some(store) = store {
                     store_generation(store, collector, now);
                     core.admitted_at_checkpoint = admitted;
-                } else if let Some(path) = &opts.checkpoint {
-                    write_checkpoint(path, &core.collector)?;
-                    core.admitted_at_checkpoint = admitted;
                 }
             }
             if is_drain {
@@ -310,48 +275,40 @@ fn open_store(
     retain: u64,
     plan: StorageFaultPlan,
 ) -> (CheckpointStore<FaultyDisk>, Option<Collector>) {
-    let mut disk = FaultyDisk::new(Box::new(RealDisk::new(dir)), plan);
-    let mut validate = |blob: &[u8]| decode_server_checkpoint(blob).is_ok();
-    // Injected faults are one-shot, so a non-crash open failure (ENOSPC
-    // on the initial manifest seal, say) gets a bounded retry on the
-    // same disk before giving up.
-    for attempt in 0..5 {
-        match CheckpointStore::open(disk, retain, &mut validate, SimTime::ZERO) {
-            Ok((store, recovered)) => {
-                let collector = recovered.map(|r| {
-                    eprintln!(
-                        "[serve] recovered checkpoint generation {} (walked back {})",
-                        r.generation, r.walked_back
-                    );
-                    decode_server_checkpoint(&r.blob).expect("recovery validated this blob")
-                });
-                if collector.is_none() {
-                    eprintln!(
-                        "[serve] no recoverable generation in {}, starting fresh",
-                        dir.display()
-                    );
-                }
-                return (store, collector);
-            }
-            Err(f) if f.error == StorageError::Crashed => {
-                eprintln!("[serve] injected power loss during recovery; dying for restart");
-                std::process::exit(EXIT_INJECTED_CRASH);
-            }
-            Err(f) if attempt < 4 => {
-                eprintln!("[serve] checkpoint store open shed ({}); retrying", f.error);
-                disk = f.disk;
-            }
-            Err(f) => {
-                eprintln!(
-                    "[serve] cannot open checkpoint store {}: {}",
-                    dir.display(),
-                    f.error
-                );
-                std::process::exit(1);
-            }
+    let disk = FaultyDisk::new(Box::new(RealDisk::new(dir)), plan);
+    let opened = CheckpointStore::open_retrying(
+        disk,
+        retain,
+        &mut |blob| decode_server_checkpoint(blob).is_ok(),
+        SimTime::ZERO,
+        &mut |e| eprintln!("[serve] checkpoint store open shed ({e}); retrying"),
+    );
+    let (store, recovered) = opened.unwrap_or_else(|f| {
+        if f.error == StorageError::Crashed {
+            eprintln!("[serve] injected power loss during recovery; dying for restart");
+            std::process::exit(EXIT_INJECTED_CRASH);
         }
+        eprintln!(
+            "[serve] cannot open checkpoint store {}: {}",
+            dir.display(),
+            f.error
+        );
+        std::process::exit(1);
+    });
+    let collector = recovered.map(|r| {
+        eprintln!(
+            "[serve] recovered checkpoint generation {} (walked back {})",
+            r.generation, r.walked_back
+        );
+        decode_server_checkpoint(&r.blob).expect("recovery validated this blob")
+    });
+    if collector.is_none() {
+        eprintln!(
+            "[serve] no recoverable generation in {}, starting fresh",
+            dir.display()
+        );
     }
-    unreachable!("loop returns or exits within 5 attempts");
+    (store, collector)
 }
 
 fn main() {
@@ -372,27 +329,6 @@ fn main() {
             core.collector = collector;
         }
         core.store = Some(store);
-    } else if let Some(path) = &opts.checkpoint {
-        match std::fs::read(path) {
-            Ok(bytes) => match decode_server_checkpoint(&bytes) {
-                Ok(collector) => {
-                    eprintln!(
-                        "[serve] resumed {} batch(es) from {}",
-                        collector.accepted_batches(),
-                        path.display()
-                    );
-                    core.collector = collector;
-                }
-                Err(e) => {
-                    eprintln!("[serve] refusing checkpoint {}: {e}", path.display());
-                    std::process::exit(1);
-                }
-            },
-            Err(_) => eprintln!(
-                "[serve] no checkpoint at {}, starting fresh",
-                path.display()
-            ),
-        }
     }
 
     let listener = TcpListener::bind(&opts.listen)

@@ -375,6 +375,9 @@ impl ResilientCampaign {
         }
 
         let next_day = r.u64()?;
+        if next_day > config.days {
+            return Err(WireError::BadField { field: "next_day" }.into());
+        }
 
         let mut fresh = ResilientCampaign::new(config, options);
         let users = r.u32()? as usize;
@@ -526,6 +529,16 @@ mod tests {
             ResilientCampaign::resume(config(1), IngestOptions::perfect(), &bad),
             Err(CheckpointError::Wire(WireError::ChecksumMismatch { .. }))
         ));
+
+        // A correctly sealed blob that claims a day past the campaign's
+        // end is malformed, exactly as for the scaled campaign.
+        let mut past_end = ResilientCampaign::new(config(1), IngestOptions::perfect());
+        past_end.next_day = config(1).days + 1;
+        assert_eq!(
+            ResilientCampaign::resume(config(1), IngestOptions::perfect(), &past_end.checkpoint())
+                .expect_err("next_day beyond the campaign must be refused"),
+            CheckpointError::Wire(WireError::BadField { field: "next_day" })
+        );
     }
 
     #[test]

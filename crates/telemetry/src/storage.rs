@@ -27,6 +27,7 @@
 //! [`CheckpointStore::debug_manifest_miscount_every`] plants a deliberate
 //! undercount so the swarm can prove the oracle catches it.
 
+use crate::checkpoint::CheckpointError;
 use crate::wire::{crc32, WireError, WireReader, WireWriter};
 use starlink_obsv::{counter_add, emit, StorageShedReason, TraceEvent};
 use starlink_simcore::{SimRng, SimTime};
@@ -44,6 +45,8 @@ pub const MANIFEST_NAME: &str = "MANIFEST";
 pub const QUARANTINE_DIR: &str = "quarantine";
 /// Default number of verified generations kept on disk.
 pub const DEFAULT_RETAIN: u64 = 3;
+/// Attempts [`CheckpointStore::open_retrying`] makes on one disk.
+const OPEN_ATTEMPTS: u32 = 5;
 
 /// Exact encoded size of a sealed manifest.
 const MANIFEST_LEN: usize = 4 + 2 + 8 * 4 + 4;
@@ -217,7 +220,7 @@ impl DiskEnv for RealDisk {
 /// `fsync` on a directory handle, so renames/creates inside it survive
 /// power loss. On non-unix targets opening a directory read-only is not
 /// portable; the call degrades to a no-op there.
-pub fn sync_real_dir(dir: &Path) -> Result<(), StorageError> {
+fn sync_real_dir(dir: &Path) -> Result<(), StorageError> {
     #[cfg(unix)]
     {
         std::fs::File::open(dir)
@@ -1005,6 +1008,32 @@ impl<D: DiskEnv> CheckpointStore<D> {
         CheckpointStore::open(disk, DEFAULT_RETAIN, validate, now)
     }
 
+    /// [`open`](Self::open), retried on the same disk while it fails with
+    /// anything but [`StorageError::Crashed`], [`OPEN_ATTEMPTS`] times in
+    /// all. Injected faults are one-shot, so a shed open (ENOSPC on the
+    /// initial manifest seal, say) gets through once the plan is spent; a
+    /// crash needs the process restarted and comes straight back.
+    /// `on_shed` sees each error that is about to be retried.
+    pub fn open_retrying(
+        mut disk: D,
+        retain: u64,
+        validate: &mut dyn FnMut(&[u8]) -> bool,
+        now: SimTime,
+        on_shed: &mut dyn FnMut(&StorageError),
+    ) -> Result<(Self, Option<RecoveredCheckpoint>), OpenFailure<D>> {
+        let mut attempt = 1;
+        loop {
+            match Self::open(disk, retain, validate, now) {
+                Err(f) if f.error != StorageError::Crashed && attempt < OPEN_ATTEMPTS => {
+                    on_shed(&f.error);
+                    disk = f.disk;
+                    attempt += 1;
+                }
+                done => return done,
+            }
+        }
+    }
+
     /// Durably seals `blob` as the next generation and returns its
     /// number. On failure the attempt is shed: a typed error comes back,
     /// a `checkpoint_shed` event is traced, and the store stays usable
@@ -1173,6 +1202,28 @@ impl<D: DiskEnv> fmt::Debug for CheckpointStore<D> {
             .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
+}
+
+/// Opens a campaign's checkpoint chain on `disk` and runs `resume` (the
+/// campaign's own `resume`, configuration bound) on the newest *intact*
+/// generation, if the chain holds one.
+///
+/// Intact means the blob resumed or was refused as a
+/// [`CheckpointError::Mismatch`] — its CRC verified, it just belongs to
+/// another scenario. Only damaged blobs are quarantined, so a sound chain
+/// opened under the wrong seed comes back as that typed mismatch instead
+/// of being walked past as "corrupt" and silently restarted from day 0.
+#[allow(clippy::type_complexity)]
+pub fn open_campaign_chain<D: DiskEnv, C>(
+    disk: D,
+    resume: &dyn Fn(&[u8]) -> Result<C, CheckpointError>,
+    on_shed: &mut dyn FnMut(&StorageError),
+) -> Result<(CheckpointStore<D>, Option<Result<C, CheckpointError>>), OpenFailure<D>> {
+    let mut intact =
+        |blob: &[u8]| matches!(resume(blob), Ok(_) | Err(CheckpointError::Mismatch { .. }));
+    let (store, recovered) =
+        CheckpointStore::open_retrying(disk, DEFAULT_RETAIN, &mut intact, SimTime::ZERO, on_shed)?;
+    Ok((store, recovered.map(|r| resume(&r.blob))))
 }
 
 #[cfg(test)]
@@ -1467,6 +1518,82 @@ mod tests {
         let stats = store.stats();
         assert_eq!(stats.quarantined, 1, "rotted blob quarantined: {stats:?}");
         assert!(stats.conservation_holds());
+    }
+
+    #[test]
+    fn campaign_chain_refuses_another_scenario_without_quarantining_it() {
+        use crate::ingest::{IngestOptions, ResilientCampaign};
+        use crate::pipeline::CampaignConfig;
+
+        let config = |seed| CampaignConfig {
+            seed,
+            days: 4,
+            pages_per_day: 8.0,
+            tranco_size: 50_000,
+        };
+        let resume_as = |seed| {
+            move |blob: &[u8]| {
+                ResilientCampaign::resume(config(seed), IngestOptions::perfect(), blob)
+            }
+        };
+        let mut never_shed = |e: &StorageError| panic!("a sim disk never sheds: {e}");
+
+        let (mut store, recovered) =
+            open_campaign_chain(SimDisk::new(), &resume_as(1), &mut never_shed).unwrap();
+        assert!(recovered.is_none(), "a fresh chain holds nothing");
+        let mut rc = ResilientCampaign::new(config(1), IngestOptions::perfect());
+        for day in 1..=2u64 {
+            rc.run_day();
+            store
+                .store(&rc.checkpoint(), SimTime::from_secs(day * 86_400))
+                .unwrap();
+        }
+
+        // Same scenario: the newest generation resumes.
+        let (store, recovered) =
+            open_campaign_chain(store.into_disk(), &resume_as(1), &mut never_shed).unwrap();
+        assert_eq!(recovered.unwrap().unwrap().next_day(), 2);
+
+        // Another seed: every generation is intact, so none is quarantined
+        // and the caller gets the typed refusal, not an "empty" chain.
+        let (store, recovered) =
+            open_campaign_chain(store.into_disk(), &resume_as(2), &mut never_shed).unwrap();
+        assert_eq!(
+            recovered.unwrap().unwrap_err(),
+            CheckpointError::Mismatch { field: "seed" }
+        );
+        assert_eq!(store.stats().quarantined, 0, "{:?}", store.stats());
+        assert_eq!(store.live_generations(), vec![1, 2]);
+    }
+
+    #[test]
+    fn open_retrying_spends_one_shot_faults_but_returns_a_crash_at_once() {
+        let mut plan = StorageFaultPlan::new();
+        plan.push(StorageFault::Enospc { write: 1 });
+        let disk = FaultyDisk::new(Box::new(SimDisk::new()), plan);
+        let mut shed = Vec::new();
+        CheckpointStore::open_retrying(
+            disk,
+            DEFAULT_RETAIN,
+            &mut |_| true,
+            SimTime::ZERO,
+            &mut |e| shed.push(e.clone()),
+        )
+        .expect("the retry outlives the one-shot ENOSPC");
+        assert_eq!(shed, vec![StorageError::NoSpace]);
+
+        let mut plan = StorageFaultPlan::new();
+        plan.push(StorageFault::CrashBeforeRename { rename: 1 });
+        let disk = FaultyDisk::new(Box::new(SimDisk::new()), plan);
+        let failure = CheckpointStore::open_retrying(
+            disk,
+            DEFAULT_RETAIN,
+            &mut |_| true,
+            SimTime::ZERO,
+            &mut |e| panic!("a crash is not retried: {e}"),
+        )
+        .expect_err("the crash comes straight back");
+        assert_eq!(failure.error, StorageError::Crashed);
     }
 
     #[test]
