@@ -70,10 +70,11 @@
 //!
 //! `--out DIR` (default `target/repro`) receives `campaign_digest.txt`
 //! (the canonical dataset digest — diff it across kill/resume runs) and
-//! `campaign_coverage.txt` (the full coverage report). With `--service`
-//! the uploads travel as SLCS session frames through the collector
-//! server under its strained admission budget, so the report's shed
-//! column and typed REJECT accounting are exercised too.
+//! `campaign_coverage.txt` (the full coverage report). Every upload
+//! travels as SLCS session frames through the collector server; with
+//! `--overloaded` the server runs its strained admission budget instead
+//! of the generous default, so the report's shed column and typed REJECT
+//! accounting are exercised too.
 //!
 //! ## Population scale (`--users`)
 //!
@@ -85,12 +86,11 @@
 //! shard order. The digest, coverage report, traces and metrics are
 //! byte-identical at any `--jobs` value, and checkpoints carry no worker
 //! count, so `--resume` under a different `--jobs` is byte-identical
-//! too; the chain and `--storage-faults` work exactly as above.
-//! Alongside the digest and coverage files, `--out` receives
-//! `BENCH_campaign.json` (`repro-campaign-bench-v1`: users/sec,
-//! wall-clock, peak RSS, merged coverage totals, dataset digest).
+//! too; the chain and `--storage-faults` work exactly as above. Stdout
+//! carries nothing that depends on the clock or the worker count.
 //!
-//! Wall-clock timing of the stack is `slbench`'s job: see
+//! Wall-clock timing of the stack — user-days/sec and peak RSS of this
+//! engine included (`population_campaign`) — is `slbench`'s job: see
 //! `benchmark/README.md`.
 
 use starlink_bench::{capture_begin, capture_end, export_dat, report};
@@ -108,7 +108,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::time::Instant;
 
 const ARTEFACTS: [&str; 14] = [
     "fig1", "fig2", "table1", "fig3", "fig4", "fig5", "table2", "table3", "fig6a", "fig6b",
@@ -230,10 +229,10 @@ struct CampaignOpts {
     checkpoint: PathBuf,
     resume: bool,
     kill_at_day: Option<u64>,
-    /// Route uploads through the SLCS collector service under the
-    /// strained admission budget, so the coverage report exercises the
+    /// Run the collector server under the strained admission budget
+    /// instead of the generous one, so the coverage report exercises the
     /// shed column.
-    service: bool,
+    overloaded: bool,
     /// Seed for a mixed disk-fault plan (torn write, bit rot, ENOSPC,
     /// crash-around-rename) injected under the checkpoint chain.
     storage_faults: Option<u64>,
@@ -259,7 +258,7 @@ impl Default for CampaignOpts {
             checkpoint: PathBuf::from("target/repro/campaign.chain"),
             resume: false,
             kill_at_day: None,
-            service: false,
+            overloaded: false,
             storage_faults: None,
             users: 0,
             cities: 120,
@@ -333,7 +332,7 @@ fn main() {
                     .unwrap_or_else(|| usage("--checkpoint needs a directory"));
             }
             "--resume" => campaign.resume = true,
-            "--service" => campaign.service = true,
+            "--overloaded" => campaign.overloaded = true,
             "--storage-faults" => {
                 campaign.storage_faults = Some(
                     it.next()
@@ -468,12 +467,11 @@ fn usage(err: &str) -> ! {
     eprintln!("artefacts: all campaign {}", ARTEFACTS.join(" "));
     eprintln!(
         "campaign flags: [--days N] [--checkpoint-every N] [--checkpoint DIR] \
-         [--resume] [--kill-at-day D] [--service] [--storage-faults SEED] [--out DIR]"
+         [--resume] [--kill-at-day D] [--overloaded] [--storage-faults SEED] [--out DIR]"
     );
     eprintln!(
         "campaign scale flags: [--users N] [--cities N] (with --jobs N for sharded \
-         workers; output is byte-identical at any worker count, and \
-         BENCH_campaign.json lands under --out)"
+         workers; output is byte-identical at any worker count)"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
@@ -689,76 +687,13 @@ fn seal_checkpoint(
     }
 }
 
-/// Peak resident set size of this process in kB, from `VmHWM` in
-/// `/proc/self/status`. Returns 0 on platforms without procfs.
-fn peak_rss_kb() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|status| {
-            status
-                .lines()
-                .find(|line| line.starts_with("VmHWM:"))
-                .and_then(|line| line.split_whitespace().nth(1))
-                .and_then(|kb| kb.parse().ok())
-        })
-        .unwrap_or(0)
-}
-
-/// Renders `BENCH_campaign.json` for a completed population-scale run.
-/// Every field except the wall-clock ones (`wall_ms`, `users_per_sec`,
-/// `peak_rss_kb`) is deterministic and byte-identical at any `--jobs`.
-#[allow(clippy::too_many_arguments)]
-fn render_campaign_bench_json(
-    config: &ScaleConfig,
-    jobs: usize,
-    days_run: u64,
-    wall_ms: f64,
-    users_per_sec: f64,
-    rss_kb: u64,
-    digest: u64,
-    totals: &starlink_core::telemetry::CoverageTotals,
-    coverage_exact: bool,
-) -> String {
-    format!(
-        "{{\n\
-         \x20 \"schema\": \"repro-campaign-bench-v1\",\n\
-         \x20 \"seed\": {seed},\n\
-         \x20 \"users\": {users},\n\
-         \x20 \"cities\": {cities},\n\
-         \x20 \"days\": {days},\n\
-         \x20 \"days_run\": {days_run},\n\
-         \x20 \"jobs\": {jobs},\n\
-         \x20 \"wall_ms\": {wall_ms:.3},\n\
-         \x20 \"users_per_sec\": {users_per_sec:.1},\n\
-         \x20 \"peak_rss_kb\": {rss_kb},\n\
-         \x20 \"dataset_digest\": {digest_str},\n\
-         \x20 \"generated\": {generated},\n\
-         \x20 \"delivered\": {delivered},\n\
-         \x20 \"quarantined\": {quarantined},\n\
-         \x20 \"shed\": {shed},\n\
-         \x20 \"lost\": {lost},\n\
-         \x20 \"coverage_exact\": {coverage_exact}\n\
-         }}\n",
-        seed = config.seed,
-        users = config.users,
-        cities = config.cities,
-        days = config.days,
-        digest_str = json_string(&format!("{digest:016x}")),
-        generated = totals.generated,
-        delivered = totals.delivered,
-        quarantined = totals.quarantined,
-        shed = totals.shed,
-        lost = totals.lost,
-    )
-}
-
 /// Drives the population-scale sharded campaign (`--users N`): a
 /// struct-of-arrays subscriber population partitioned into contiguous
 /// user shards, run on `--jobs` workers and merged in shard order so
 /// every output file is byte-identical at any worker count.
 fn run_scaled_campaign(seed: u64, o: &CampaignOpts) -> Result<(), String> {
-    if o.service {
-        return Err("--service applies to the paper-faithful campaign, not --users".to_string());
+    if o.overloaded {
+        return Err("--overloaded applies to the paper-faithful campaign, not --users".to_string());
     }
     let config = ScaleConfig {
         seed,
@@ -782,15 +717,13 @@ fn run_scaled_campaign(seed: u64, o: &CampaignOpts) -> Result<(), String> {
         }
         None => {
             println!(
-                "[campaign] population-scale mode: {} users, {} cities, {} days, {} worker(s)",
-                config.users, config.cities, config.days, o.jobs
+                "[campaign] population-scale mode: {} users, {} cities, {} days",
+                config.users, config.cities, config.days
             );
             ScaledCampaign::new(config)
         }
     };
 
-    let start_day = sc.next_day();
-    let start = Instant::now();
     while !sc.is_finished() {
         sc.run_day(o.jobs);
         let day = sc.next_day();
@@ -806,17 +739,10 @@ fn run_scaled_campaign(seed: u64, o: &CampaignOpts) -> Result<(), String> {
             }
         }
     }
-    let wall = start.elapsed();
-    let days_run = sc.next_day() - start_day;
 
-    let totals = sc.ledger().totals();
     let coverage_exact = sc.ledger().sums_hold();
-    let digest = sc.dataset_digest();
     let coverage = sc.render();
-    let digest_line = format!("{digest:016x}\n");
-    let wall_ms = wall.as_secs_f64() * 1e3;
-    let users_per_sec = (config.users * days_run.max(1)) as f64 / wall.as_secs_f64().max(1e-9);
-    let rss_kb = peak_rss_kb();
+    let digest_line = format!("{:016x}\n", sc.dataset_digest());
 
     let shape = if coverage_exact {
         Ok(())
@@ -824,11 +750,7 @@ fn run_scaled_campaign(seed: u64, o: &CampaignOpts) -> Result<(), String> {
         Err("coverage accounting does not sum to 100%".to_string())
     };
     let mut rendered = coverage.clone();
-    rendered.push_str(&format!(
-        "\n{days_run} day(s) in {wall_ms:.0} ms on {} worker(s) ({users_per_sec:.0} \
-         user-days/sec, peak RSS {rss_kb} kB)\ncanonical dataset digest: {digest_line}",
-        o.jobs,
-    ));
+    rendered.push_str(&format!("\ncanonical dataset digest: {digest_line}"));
     report(
         "Campaign — sharded population-scale ingestion",
         &rendered,
@@ -841,22 +763,8 @@ fn run_scaled_campaign(seed: u64, o: &CampaignOpts) -> Result<(), String> {
         .map_err(|e| format!("cannot write digest: {e}"))?;
     std::fs::write(o.out.join("campaign_coverage.txt"), &coverage)
         .map_err(|e| format!("cannot write coverage: {e}"))?;
-    let bench = render_campaign_bench_json(
-        &config,
-        o.jobs,
-        days_run,
-        wall_ms,
-        users_per_sec,
-        rss_kb,
-        digest,
-        &totals,
-        coverage_exact,
-    );
-    std::fs::write(o.out.join("BENCH_campaign.json"), &bench)
-        .map_err(|e| format!("cannot write BENCH_campaign.json: {e}"))?;
     println!(
-        "[campaign] wrote campaign_digest.txt, campaign_coverage.txt and BENCH_campaign.json \
-         under {}",
+        "[campaign] wrote campaign_digest.txt and campaign_coverage.txt under {}",
         o.out.display()
     );
     if !coverage_exact {
@@ -880,9 +788,9 @@ fn run_campaign(seed: u64, o: &CampaignOpts) -> Result<(), String> {
     };
     let users = Campaign::new(config.clone()).population().users.len();
     let mut options = IngestOptions::fault_storm(users, o.days);
-    if o.service {
-        options.service = Some(AdmissionConfig::overloaded());
-        println!("[campaign] service mode: SLCS sessions under the overloaded admission budget");
+    if o.overloaded {
+        options.admission = AdmissionConfig::overloaded();
+        println!("[campaign] SLCS sessions under the overloaded admission budget");
     }
 
     let (mut store, resumed) = open_chain(o, &|blob| {

@@ -134,3 +134,18 @@ fn removed_bench_flag_is_a_usage_error() {
     assert!(stderr.contains("usage: repro"), "{stderr}");
     assert!(output.stdout.is_empty(), "no artefact may run");
 }
+
+#[test]
+fn removed_service_flag_is_a_usage_error() {
+    // Every campaign upload is an SLCS session now; the switch that used
+    // to select that path is gone (the strained budget is `--overloaded`).
+    let output = repro()
+        .args(["campaign", "--days", "1", "--service"])
+        .output()
+        .expect("repro binary runs");
+    assert_eq!(output.status.code(), Some(2), "usage errors exit 2");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("unknown flag: --service"), "{stderr}");
+    assert!(stderr.contains("[--overloaded]"), "{stderr}");
+    assert!(output.stdout.is_empty(), "no artefact may run");
+}

@@ -43,8 +43,9 @@ pub fn generate(seed: u64) -> Scenario {
 
     let mut trng = root.stream("telemetry");
     let telemetry = trng.bernoulli(0.25).then(|| {
-        // Draw order matters: the collector draws come after every legacy
-        // telemetry draw so pre-collector seeds keep their sub-campaigns.
+        // Draw order matters: the collector draws come after the four
+        // campaign-shape draws so pre-collector seeds keep their
+        // sub-campaigns. An undrawn collector runs the generous budget.
         let seed = trng.next_u64();
         let days = trng.range_u64(1, 3);
         let pages_per_day_milli = trng.range_u64(2_000, 20_000);
@@ -57,8 +58,8 @@ pub fn generate(seed: u64) -> Scenario {
             drain_bytes_per_sec: trng.range_u64(200, 20_000),
         });
         // Storage draws come after the collector draws for the same
-        // reason the collector's come after the legacy ones: pre-storage
-        // seeds keep their sub-campaigns bit-for-bit.
+        // reason the collector's come after the campaign-shape ones:
+        // pre-storage seeds keep their sub-campaigns bit-for-bit.
         let storage = trng.bernoulli(0.5).then(|| StorageFaultSpec {
             seed: trng.next_u64(),
             torn_writes: trng.below(2),
@@ -249,8 +250,8 @@ mod tests {
                 None => {}
             }
         }
-        assert!(with, "no generated scenario uploads through the service");
-        assert!(without, "no generated scenario keeps the direct path");
+        assert!(with, "no generated scenario draws an admission budget");
+        assert!(without, "no generated scenario keeps the generous budget");
     }
 
     #[test]

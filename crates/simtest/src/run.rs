@@ -38,7 +38,7 @@ pub struct RunOptions {
     /// `Network::debug_skip_link_delivered_every`). The oracles must
     /// catch this; it exists to prove they can.
     pub inject_bug_every: u64,
-    /// Test-only shed-accounting-bug injection for service-mode telemetry
+    /// Test-only shed-accounting-bug injection for telemetry
     /// sub-campaigns: every N-th shed-terminal batch skips its coverage
     /// increment (see
     /// `ResilientCampaign::debug_skip_shed_accounting_every`). The
@@ -592,7 +592,9 @@ fn run_telemetry(spec: &TelemetrySpec, opts: &RunOptions) -> TelemetryReport {
     } else {
         IngestOptions::perfect()
     };
-    options.service = spec.collector.map(|c| c.config());
+    if let Some(collector) = spec.collector {
+        options.admission = collector.config();
+    }
 
     let new_campaign = |config: &CampaignConfig, options: &IngestOptions| {
         let mut campaign = ResilientCampaign::new(config.clone(), options.clone());

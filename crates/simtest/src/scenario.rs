@@ -585,8 +585,10 @@ pub struct TelemetrySpec {
     pub pages_per_day_milli: u64,
     /// Run the deterministic fault storm instead of a perfect uplink.
     pub fault_storm: bool,
-    /// Upload through the framed collector service under this admission
-    /// budget; `None` keeps the legacy direct path.
+    /// The admission budget of the collector service every upload
+    /// travels through; `None` means
+    /// [`starlink_telemetry::AdmissionConfig::generous`], the default
+    /// that never sheds.
     pub collector: Option<CollectorSpec>,
     /// Checkpoint the campaign through a faultable on-disk chain;
     /// `None` skips persistence entirely.
@@ -632,7 +634,7 @@ impl TelemetrySpec {
 
     fn from_json(v: &Json) -> Result<Self, ScenarioError> {
         // Tolerate a missing key so artifacts saved before the collector
-        // dimension existed still replay (as direct-path campaigns).
+        // dimension existed still replay (under the generous budget).
         let collector = match v.get("collector") {
             None | Some(Json::Null) => None,
             Some(c) => Some(CollectorSpec::from_json(c)?),
@@ -969,7 +971,8 @@ mod tests {
     #[test]
     fn pre_collector_artifacts_still_load() {
         // Saved failing-seed artifacts predating the collector dimension
-        // have no "collector" key; they must replay as direct-path runs.
+        // have no "collector" key; they must replay under the default
+        // (generous) budget.
         let mut s = sample();
         s.telemetry.as_mut().unwrap().collector = None;
         let text = s

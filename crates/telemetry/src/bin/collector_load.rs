@@ -20,8 +20,9 @@
 //! `Duplicate`, batches it lost are resent (the `gap_resent` counter) —
 //! instead of assuming the pre-crash frontier survived.
 //!
-//! After the upload phase a **verify pass** re-sends every batch once
-//! more and requires an `Accepted` or `Duplicate` ack for each. Batches
+//! After the upload phase a **verify pass** — the same session loop over
+//! a fresh [`LoaderUser`] — re-sends every batch once more and requires
+//! an `Accepted` or `Duplicate` ack for each. Batches
 //! the server acked but lost to a kill after its last checkpoint are
 //! re-admitted here; batches it kept are deduplicated. The pass is what
 //! makes a killed-and-restarted server's dataset byte-identical to an
@@ -31,12 +32,12 @@
 //! admission latency.
 
 use starlink_simcore::{SimDuration, SimRng};
-use starlink_telemetry::slcs::{peek_frame_len, SLCS_HEADER_LEN};
+use starlink_telemetry::slcs::read_frame;
 use starlink_telemetry::{
     synthetic_batch, AckStatus, LoaderUser, ReconnectOutcome, RetryPolicy, ServerReply,
     SessionClient,
 };
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -151,18 +152,6 @@ fn connect_with_retry(addr: &str) -> TcpStream {
     }
 }
 
-/// Reads one SLCS reply frame (header, then the validated remainder).
-fn read_frame(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
-    let mut header = [0u8; SLCS_HEADER_LEN];
-    stream.read_exact(&mut header)?;
-    let total = peek_frame_len(&header)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    let mut frame = vec![0u8; total];
-    frame[..SLCS_HEADER_LEN].copy_from_slice(&header);
-    stream.read_exact(&mut frame[SLCS_HEADER_LEN..])?;
-    Ok(frame)
-}
-
 /// One request/reply exchange; any I/O failure bubbles up so the caller
 /// can reconnect.
 fn exchange(stream: &mut TcpStream, frame: &[u8]) -> std::io::Result<Vec<u8>> {
@@ -185,72 +174,26 @@ fn honour(hint_ns: u64) -> Duration {
     Duration::from_nanos(hint_ns).min(MAX_SLEEP)
 }
 
-/// Uploads one batch until the server keeps it (`Accepted` or
-/// `Duplicate`), reconnecting through failures and pacing by the larger
-/// of the server's hint and the shared backoff schedule.
-fn upload_until_kept(
-    addr: &str,
-    stream: &mut TcpStream,
-    client: &SessionClient,
-    seq: u64,
-    payload: &[u8],
-    rng: &mut SimRng,
-    tally: &Tally,
-) {
-    let policy = *client.policy();
-    let mut attempt: u64 = 0;
-    loop {
-        let frame = client.batch(seq, payload.to_vec());
-        let sent = Instant::now();
-        let reply = match exchange(stream, &frame) {
-            Ok(reply) => reply,
-            Err(_) => {
-                tally.reconnects.fetch_add(1, Ordering::Relaxed);
-                *stream = open_session(addr, client);
-                continue;
-            }
-        };
-        let latency_us = sent.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        match client.parse_reply(&reply) {
-            Ok(ServerReply::Ack { status, .. }) => {
-                tally
-                    .latencies_us
-                    .lock()
-                    .expect("latency ledger is never poisoned")
-                    .push(latency_us);
-                match status {
-                    AckStatus::Duplicate => tally.duplicates.fetch_add(1, Ordering::Relaxed),
-                    // Quarantined batches are kept (and accounted) too.
-                    _ => tally.accepted.fetch_add(1, Ordering::Relaxed),
-                };
-                return;
-            }
-            Ok(ServerReply::Reject { retry_after_ns, .. }) => {
-                tally.rejects.fetch_add(1, Ordering::Relaxed);
-                let backoff = policy.backoff(attempt, rng);
-                let wait = honour(retry_after_ns.max(backoff.as_nanos()));
-                attempt += 1;
-                std::thread::sleep(wait);
-            }
-            Err(_) => {
-                // A reply that does not parse means the stream is skewed;
-                // resynchronise by reconnecting.
-                tally.reconnects.fetch_add(1, Ordering::Relaxed);
-                *stream = open_session(addr, client);
-            }
-        }
-    }
-}
-
-/// The upload phase for one user, with restart-aware frontier
-/// accounting: every reconnect invalidates the ACK frontier and the
-/// whole tentative prefix is re-offered before fresh uploads resume, so
-/// a server restart onto an older checkpoint generation gets its gap
-/// resent immediately rather than discovered at the final verify pass.
-fn user_session(addr: &str, opts: &Opts, user: u64, tally: &Tally) {
+/// One pass over a user's batches `1..=M`, each offered until the server
+/// keeps it, with restart-aware frontier accounting: every reconnect
+/// invalidates the ACK frontier and the whole tentative prefix is
+/// re-offered before fresh uploads resume, so a server restart onto an
+/// older checkpoint generation gets its gap resent immediately.
+///
+/// The upload phase and the verify pass are both this function. The
+/// verify pass (`verify`) is the post-kill safety net: a fresh
+/// [`LoaderUser`] re-offers every batch at full speed, and any ack other
+/// than `Duplicate` means the upload-phase ack was lost to a kill after
+/// the server's last checkpoint (`verify_resent`).
+fn user_session(addr: &str, opts: &Opts, user: u64, verify: bool, tally: &Tally) {
     let policy = RetryPolicy::new(u32::MAX, SimDuration::from_millis(50));
     let client = SessionClient::new(user, user, policy);
-    let mut rng = SimRng::seed_from(opts.seed ^ user).stream("collector-load");
+    let label = if verify {
+        "collector-verify"
+    } else {
+        "collector-load"
+    };
+    let mut rng = SimRng::seed_from(opts.seed ^ user).stream(label);
     let mut loader = LoaderUser::new(user, opts.batches);
     let mut stream = open_session(addr, &client);
     let mut attempt: u64 = 0;
@@ -286,13 +229,18 @@ fn user_session(addr: &str, opts: &Opts, user: u64, tally: &Tally) {
                     // Quarantined batches are kept (and accounted) too.
                     _ => tally.accepted.fetch_add(1, Ordering::Relaxed),
                 };
-                if reproof && status != AckStatus::Duplicate {
-                    tally.gap_resent.fetch_add(1, Ordering::Relaxed);
+                if status != AckStatus::Duplicate {
+                    if verify {
+                        tally.verify_resent.fetch_add(1, Ordering::Relaxed);
+                    } else if reproof {
+                        tally.gap_resent.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
                 loader.on_kept(seq, status);
                 attempt = 0;
-                // Re-proofs run at full speed; only fresh uploads pace.
-                if opts.pace_ms > 0 && !reproof {
+                // Re-proofs and the verify pass run at full speed; only
+                // fresh uploads pace.
+                if opts.pace_ms > 0 && !reproof && !verify {
                     std::thread::sleep(Duration::from_millis(opts.pace_ms));
                 }
             }
@@ -308,25 +256,6 @@ fn user_session(addr: &str, opts: &Opts, user: u64, tally: &Tally) {
                 // resynchronise by reconnecting (which also re-proves).
                 reconnect(&mut stream, &mut loader);
             }
-        }
-    }
-}
-
-/// The post-kill safety net: re-offer every batch and count the ones the
-/// server had actually lost (acked before a kill, gone after restart).
-fn verify_session(addr: &str, opts: &Opts, user: u64, tally: &Tally) {
-    let policy = RetryPolicy::new(u32::MAX, SimDuration::from_millis(50));
-    let client = SessionClient::new(user, user, policy);
-    let mut rng = SimRng::seed_from(opts.seed ^ user).stream("collector-verify");
-    let mut stream = open_session(addr, &client);
-    for seq in 1..=opts.batches {
-        let before = tally.accepted.load(Ordering::Relaxed);
-        let payload = synthetic_batch(user, seq, opts.pages);
-        upload_until_kept(addr, &mut stream, &client, seq, &payload, &mut rng, tally);
-        if tally.accepted.load(Ordering::Relaxed) > before {
-            // Freshly accepted during verify = the upload-phase ack was
-            // lost to a kill after the server's last checkpoint.
-            tally.verify_resent.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -385,9 +314,8 @@ fn main() {
         let handles: Vec<_> = (1..=opts.users)
             .map(|user| {
                 let (opts, tally) = (Arc::clone(&opts), Arc::clone(&tally));
-                std::thread::spawn(move || match phase {
-                    "upload" => user_session(&opts.connect, &opts, user, &tally),
-                    _ => verify_session(&opts.connect, &opts, user, &tally),
+                std::thread::spawn(move || {
+                    user_session(&opts.connect, &opts, user, phase == "verify", &tally)
                 })
             })
             .collect();

@@ -35,16 +35,15 @@
 //! process once the reply is flushed.
 
 use starlink_simcore::SimTime;
-use starlink_telemetry::slcs::{peek_frame_len, SLCS_HEADER_LEN};
+use starlink_telemetry::slcs::read_frame;
 use starlink_telemetry::storage::{
     CheckpointStore, FaultyDisk, RealDisk, StorageError, StorageFault, StorageFaultPlan,
     DEFAULT_RETAIN,
 };
-use starlink_telemetry::SLCS_MAGIC;
 use starlink_telemetry::{
     decode_server_checkpoint, encode_server_checkpoint, AdmissionConfig, Collector, CollectorServer,
 };
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -207,21 +206,6 @@ fn store_generation(store: &mut CheckpointStore<FaultyDisk>, collector: &Collect
     }
 }
 
-/// Reads one SLCS frame off the stream: fixed header first, then exactly
-/// the length the (validated) header claims — a hostile length never
-/// triggers a large allocation because `peek_frame_len` enforces the
-/// payload cap before we size the buffer.
-fn read_frame(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
-    let mut header = [0u8; SLCS_HEADER_LEN];
-    stream.read_exact(&mut header)?;
-    let total = peek_frame_len(&header)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    let mut frame = vec![0u8; total];
-    frame[..SLCS_HEADER_LEN].copy_from_slice(&header);
-    stream.read_exact(&mut frame[SLCS_HEADER_LEN..])?;
-    Ok(frame)
-}
-
 fn serve_connection(
     mut stream: TcpStream,
     core: &Mutex<Core>,
@@ -232,13 +216,16 @@ fn serve_connection(
     loop {
         let frame = read_frame(&mut stream)?;
         let now = SimTime::from_nanos(epoch.elapsed().as_nanos() as u64);
-        let is_drain = frame.get(4 + 2) == Some(&5) && frame.starts_with(&SLCS_MAGIC);
-        let reply = {
+        let (reply, is_drain) = {
             let mut core = core.lock().expect("no poisoned admission state");
             let Core {
                 server, collector, ..
             } = &mut *core;
+            // Whether this frame was a DRAIN is the server's verdict (it
+            // validated the frame), never a guess from the raw bytes.
+            let drains_before = server.stats().drains;
             let reply = server.handle_frame(collector, &frame, now);
+            let is_drain = server.stats().drains > drains_before;
             let admitted = core.admitted();
             let due = opts.checkpoint_every > 0
                 && admitted.saturating_sub(core.admitted_at_checkpoint) >= opts.checkpoint_every;
@@ -256,7 +243,7 @@ fn serve_connection(
                     write_digest(path, &core.collector)?;
                 }
             }
-            reply
+            (reply, is_drain)
         };
         stream.write_all(&reply)?;
         if is_drain {
@@ -362,5 +349,120 @@ fn main() {
                 std::process::exit(0);
             }
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use starlink_simcore::SimDuration;
+    use starlink_telemetry::wire::crc32;
+    use starlink_telemetry::{
+        synthetic_batch, AckStatus, RetryPolicy, ServerReply, SessionClient, ShedReason,
+    };
+
+    /// A frame that *looks* like a DRAIN in its header but fails
+    /// validation must be shed as a bad frame and nothing more: no
+    /// sealed digest, no drained flag, and the service keeps admitting.
+    #[test]
+    fn corrupt_drain_frame_is_shed_and_the_service_keeps_serving() {
+        let dir =
+            std::env::temp_dir().join(format!("collector_serve_drain_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let digest = dir.join("c.digest");
+        let opts = Opts {
+            listen: String::new(),
+            checkpoint_dir: None,
+            checkpoint_every: 0,
+            retain: DEFAULT_RETAIN,
+            digest: Some(digest.clone()),
+            exit_on_drain: true,
+            plan: StorageFaultPlan::new(),
+            config: AdmissionConfig::generous(),
+        };
+        let opts = Arc::new(opts);
+        let core = Arc::new(Mutex::new(Core {
+            server: CollectorServer::new(opts.config),
+            collector: Collector::new(),
+            store: None,
+            admitted_at_checkpoint: 0,
+        }));
+        let drained = Arc::new(AtomicBool::new(false));
+        let listener = TcpListener::bind("127.0.0.1:0").expect("an ephemeral port");
+        let addr = listener.local_addr().expect("bound address");
+        // Detached, not scoped: if an assertion below fails, the test
+        // fails instead of waiting on a thread parked in `accept`.
+        let serving = {
+            let (core, opts, drained) =
+                (Arc::clone(&core), Arc::clone(&opts), Arc::clone(&drained));
+            std::thread::spawn(move || {
+                let epoch = Instant::now();
+                for _ in 0..2 {
+                    let (stream, _) = listener.accept().expect("a test connection");
+                    let _ = serve_connection(stream, &core, &opts, epoch, &drained);
+                }
+            })
+        };
+
+        let client = SessionClient::new(1, 1, RetryPolicy::new(0, SimDuration::from_millis(1)));
+        // Sound header, type DRAIN, wrong checksum.
+        let mut bad_crc = client.drain();
+        *bad_crc.last_mut().expect("non-empty frame") ^= 0xFF;
+        // Sound header and checksum, type DRAIN, but a payload. An empty
+        // BATCH and a DRAIN differ first in their type byte.
+        let drain = client.drain();
+        let type_at = (client.batch(0, Vec::new()).iter().zip(&drain))
+            .position(|(a, b)| a != b)
+            .expect("frame types differ");
+        let mut with_payload = client.batch(0, vec![7; 3]);
+        with_payload[type_at] = drain[type_at];
+        let body = with_payload.len() - 4;
+        let crc = crc32(&with_payload[..body]);
+        with_payload[body..].copy_from_slice(&crc.to_le_bytes());
+
+        let bad_frame = Ok(ServerReply::Reject {
+            seq: 0,
+            reason: ShedReason::BadFrame,
+            retry_after_ns: 0,
+        });
+        let exchange = |stream: &mut TcpStream, frame: &[u8]| {
+            stream.write_all(frame).expect("request written");
+            client.parse_reply(&read_frame(stream).expect("one reply per request"))
+        };
+        // A reply that never comes fails the test instead of hanging it.
+        let connect = || {
+            let stream = TcpStream::connect(addr).expect("server is listening");
+            stream
+                .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+                .expect("a fresh stream accepts a timeout");
+            stream
+        };
+        let mut first = connect();
+        assert_eq!(exchange(&mut first, &bad_crc), bad_frame);
+        assert_eq!(exchange(&mut first, &with_payload), bad_frame);
+        drop(first);
+        assert!(!digest.exists(), "a shed frame must not seal a digest");
+
+        let mut second = connect();
+        assert!(matches!(
+            exchange(&mut second, &client.hello()),
+            Ok(ServerReply::Ack { .. })
+        ));
+        assert_eq!(
+            exchange(&mut second, &client.batch(1, synthetic_batch(1, 1, 3))),
+            Ok(ServerReply::Ack {
+                seq: 1,
+                status: AckStatus::Accepted
+            })
+        );
+        drop(second);
+        serving.join().expect("the serving thread ends cleanly");
+        assert!(!drained.load(Ordering::SeqCst));
+        assert!(!digest.exists());
+        let core = core.lock().expect("no poisoned admission state");
+        assert_eq!(core.server.stats().shed_by(ShedReason::BadFrame), 2);
+        assert_eq!(core.collector.accepted_batches(), 1);
+        drop(core);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -24,6 +24,7 @@
 
 use crate::ingest::{Collector, IngestOptions, QuarantinedBatch, ResilientCampaign, SpooledBatch};
 use crate::pipeline::CampaignConfig;
+use crate::server::AdmissionConfig;
 use crate::wire::{
     crc32, decode_page, decode_speedtest, encode_page, encode_speedtest, WireError, WireReader,
     WireWriter,
@@ -34,8 +35,8 @@ use std::fmt;
 /// The four magic bytes every checkpoint starts with.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"SLCP";
 /// The current checkpoint format version. Version 2 added the blob-kind
-/// byte, the admission-service options, per-user shed counters, and the
-/// spool `rejected` flag.
+/// byte, the admission budgets, per-user shed counters, and the spool
+/// `rejected` flag.
 pub const CHECKPOINT_VERSION: u16 = 2;
 
 /// Blob-kind byte: a full resilient-campaign driver state.
@@ -260,6 +261,19 @@ pub fn decode_server_checkpoint(bytes: &[u8]) -> Result<Collector, CheckpointErr
     Ok(collector)
 }
 
+/// The five admission budgets in their checkpoint order. Every campaign
+/// blob carries them, so a run can only resume under the budget it
+/// started with.
+fn admission_budgets(a: &AdmissionConfig) -> [u64; 5] {
+    [
+        a.session_rate_milli,
+        a.session_burst,
+        a.queue_batches,
+        a.global_bytes,
+        a.drain_bytes_per_sec,
+    ]
+}
+
 impl ResilientCampaign {
     /// Serialises the complete driver state (valid at day boundaries —
     /// i.e. between [`ResilientCampaign::run_day`] calls) into a
@@ -281,16 +295,8 @@ impl ResilientCampaign {
         w.u64(self.options.base_backoff.as_nanos());
         w.u64(self.options.spool_days);
         w.f64(self.options.ack_loss);
-        match self.options.service {
-            None => w.u8(0),
-            Some(s) => {
-                w.u8(1);
-                w.u64(s.session_rate_milli);
-                w.u64(s.session_burst);
-                w.u64(s.queue_batches);
-                w.u64(s.global_bytes);
-                w.u64(s.drain_bytes_per_sec);
-            }
+        for budget in admission_budgets(&self.options.admission) {
+            w.u64(budget);
         }
 
         w.u64(self.next_day);
@@ -332,7 +338,8 @@ impl ResilientCampaign {
 
     /// Rebuilds a driver from a checkpoint, verifying both the blob's
     /// integrity (CRC) and that it belongs to *this* scenario (same
-    /// seed, campaign shape, and fault-plan fingerprint).
+    /// seed, campaign shape, fault-plan fingerprint, and admission
+    /// budgets).
     pub fn resume(
         config: CampaignConfig,
         options: IngestOptions,
@@ -359,19 +366,8 @@ impl ResilientCampaign {
         mismatch(r.u64()? != options.base_backoff.as_nanos(), "base_backoff")?;
         mismatch(r.u64()? != options.spool_days, "spool_days")?;
         mismatch(r.f64()?.to_bits() != options.ack_loss.to_bits(), "ack_loss")?;
-        match r.u8()? {
-            0 => mismatch(options.service.is_some(), "service")?,
-            1 => {
-                let Some(s) = options.service else {
-                    return Err(CheckpointError::Mismatch { field: "service" });
-                };
-                mismatch(r.u64()? != s.session_rate_milli, "service")?;
-                mismatch(r.u64()? != s.session_burst, "service")?;
-                mismatch(r.u64()? != s.queue_batches, "service")?;
-                mismatch(r.u64()? != s.global_bytes, "service")?;
-                mismatch(r.u64()? != s.drain_bytes_per_sec, "service")?;
-            }
-            _ => return Err(WireError::BadField { field: "service" }.into()),
+        for budget in admission_budgets(&options.admission) {
+            mismatch(r.u64()? != budget, "admission")?;
         }
 
         let next_day = r.u64()?;
@@ -569,9 +565,9 @@ mod tests {
     }
 
     #[test]
-    fn service_mode_resume_is_byte_identical() {
+    fn overloaded_resume_is_byte_identical() {
         let mut options = IngestOptions::fault_storm(28, 8);
-        options.service = Some(crate::server::AdmissionConfig::overloaded());
+        options.admission = AdmissionConfig::overloaded();
         let reference = ResilientCampaign::new(config(13), options.clone()).run_to_end();
 
         // Interrupt after every single day.
@@ -592,21 +588,37 @@ mod tests {
     }
 
     #[test]
-    fn service_budget_mismatches_are_refused() {
-        let mut options = IngestOptions::perfect();
-        options.service = Some(crate::server::AdmissionConfig::generous());
-        let rc = ResilientCampaign::new(config(1), options.clone());
+    fn a_different_admission_budget_is_refused_by_name() {
+        let options = IngestOptions::perfect();
+        let mut rc = ResilientCampaign::new(config(1), options.clone());
+        rc.run_day();
         let blob = rc.checkpoint();
 
-        let err = ResilientCampaign::resume(config(1), IngestOptions::perfect(), &blob)
-            .expect_err("dropping the service must be refused");
-        assert_eq!(err, CheckpointError::Mismatch { field: "service" });
-
         let mut other = options.clone();
-        other.service = Some(crate::server::AdmissionConfig::overloaded());
+        other.admission = AdmissionConfig::overloaded();
         let err = ResilientCampaign::resume(config(1), other, &blob)
             .expect_err("different budgets must be refused");
-        assert_eq!(err, CheckpointError::Mismatch { field: "service" });
+        assert_eq!(err, CheckpointError::Mismatch { field: "admission" });
+
+        // Each of the five budgets is bound, not just the first.
+        let mut other = options.clone();
+        other.admission.drain_bytes_per_sec += 1;
+        let err = ResilientCampaign::resume(config(1), other, &blob)
+            .expect_err("a one-field difference must be refused");
+        assert_eq!(err, CheckpointError::Mismatch { field: "admission" });
+
+        // A blob sealed without the budgets (a presence tag of 0 where
+        // they now always sit) is refused the same way, never read as
+        // some default budget.
+        const BUDGETS_AT: usize = 4 + 2 + 1 + 4 * 8 + 8 + 4 + 3 * 8;
+        let mut bare = blob[..BUDGETS_AT].to_vec();
+        bare.push(0);
+        bare.extend_from_slice(&blob[BUDGETS_AT + 5 * 8..blob.len() - 4]);
+        let crc = crc32(&bare);
+        bare.extend_from_slice(&crc.to_le_bytes());
+        let err = ResilientCampaign::resume(config(1), options.clone(), &bare)
+            .expect_err("a budget-less blob must be refused");
+        assert_eq!(err, CheckpointError::Mismatch { field: "admission" });
 
         assert!(ResilientCampaign::resume(config(1), options, &blob).is_ok());
     }

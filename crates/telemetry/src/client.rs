@@ -2,11 +2,12 @@
 //! interpretation, and a deterministic batch source for load tests.
 //!
 //! [`SessionClient`] is transport-agnostic — it produces and consumes
-//! byte frames, leaving delivery to its caller (the in-sim campaign
-//! hands them straight to the server; the `collector-load` binary writes
-//! them down a TCP socket). Retry pacing belongs to
-//! [`crate::retry::RetryPolicy`], shared with the legacy upload path so
-//! session retries and upload retries cannot drift apart.
+//! byte frames, leaving delivery to its caller (the in-sim campaign,
+//! [`crate::ingest::ResilientCampaign`], hands them straight to the
+//! server; the `collector-load` binary writes them down a TCP socket).
+//! Retry pacing belongs to [`crate::retry::RetryPolicy`], which the
+//! client carries so the campaign's sessions and the load generator's
+//! cannot drift apart.
 
 use crate::aschange::ExitAs;
 use crate::population::IspClass;

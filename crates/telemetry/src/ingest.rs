@@ -15,10 +15,12 @@
 //! * the [`Collector`] validates every upload, de-duplicates re-sends
 //!   (lost ACKs make uploads idempotent, not exactly-once), and
 //!   quarantines malformed batches with machine-readable reasons;
-//! * optionally ([`IngestOptions::service`]) the collector fronts as a
-//!   [`crate::server::CollectorServer`]: uploads travel as SLCS frames
-//!   through admission control, and overload sheds batches with typed
-//!   REJECTs the client answers with backoff and spooling;
+//! * the collector fronts as a [`crate::server::CollectorServer`]: every
+//!   upload is an SLCS session (HELLO → BATCH → ACK/REJECT, built and
+//!   parsed by [`crate::client::SessionClient`]) through admission
+//!   control under [`IngestOptions::admission`], and overload sheds
+//!   batches with typed REJECTs the client answers with backoff and
+//!   spooling;
 //! * ground-truth accounting guarantees that, per user,
 //!   `delivered + quarantined + shed + lost = generated` — the
 //!   dataset's coverage is *known*, never silently eroded, even when
@@ -29,11 +31,12 @@
 //! straight through or is checkpointed, killed and resumed any number of
 //! times (see [`crate::checkpoint`]).
 
+use crate::client::{ServerReply, SessionClient};
 use crate::pipeline::{Campaign, CampaignConfig};
 use crate::records::{Dataset, PageRecord, SpeedtestRecord};
 use crate::retry::RetryPolicy;
 use crate::server::{AdmissionConfig, CollectorServer};
-use crate::slcs::{decode_frame, encode_frame, AckStatus, Frame};
+use crate::slcs::AckStatus;
 use crate::wire::{decode_batch, encode_batch, peek_header, RecordBatch, WireError};
 use starlink_faults::{CompiledPlan, FaultPlan, LinkRef};
 use starlink_netsim::{FaultEffect, LinkConfig, Network, NodeId, NodeKind};
@@ -62,11 +65,9 @@ pub struct IngestOptions {
     /// Probability that a successful upload's ACK is lost, causing an
     /// idempotent re-upload the next day.
     pub ack_loss: f64,
-    /// When set, uploads travel as SLCS frames through a
-    /// [`CollectorServer`] enforcing these admission budgets; when
-    /// `None` the collector is reached directly (the pre-service path,
-    /// kept byte-identical to the seed corpus).
-    pub service: Option<AdmissionConfig>,
+    /// Admission budgets of the [`CollectorServer`] every upload
+    /// travels through as SLCS frames.
+    pub admission: AdmissionConfig,
 }
 
 impl IngestOptions {
@@ -79,7 +80,7 @@ impl IngestOptions {
             base_backoff: SimDuration::from_secs(30),
             spool_days: 3,
             ack_loss: 0.0,
-            service: None,
+            admission: AdmissionConfig::generous(),
         }
     }
 
@@ -146,12 +147,12 @@ impl IngestOptions {
             base_backoff: SimDuration::from_secs(30),
             spool_days: 3,
             ack_loss: 0.05,
-            service: None,
+            admission: AdmissionConfig::generous(),
         }
     }
 
-    /// The retry policy this configuration implies — one definition for
-    /// every upload path (direct, service, and the real load client).
+    /// The retry policy this configuration implies, carried by every
+    /// session the campaign opens.
     pub fn retry_policy(&self) -> RetryPolicy {
         RetryPolicy::new(self.max_retries, self.base_backoff)
     }
@@ -179,6 +180,17 @@ pub enum Ingested {
         /// Why it failed to decode.
         reason: WireError,
     },
+}
+
+/// The ACK status a session reports for an ingested batch.
+impl From<&Ingested> for AckStatus {
+    fn from(ingested: &Ingested) -> Self {
+        match ingested {
+            Ingested::Accepted { .. } => AckStatus::Accepted,
+            Ingested::Duplicate => AckStatus::Duplicate,
+            Ingested::Quarantined { .. } => AckStatus::Quarantined,
+        }
+    }
 }
 
 /// One quarantined upload: never silently dropped, always explained.
@@ -631,11 +643,11 @@ pub struct ResilientCampaign {
     pub(crate) spool: Vec<SpooledBatch>,
     pub(crate) collector: Collector,
     pub(crate) coverage: CoverageColumns,
-    /// The admission front-end, present iff `options.service` is. Not
+    /// The admission front-end enforcing `options.admission`. Not
     /// checkpointed: its transient state is reset at every day boundary
     /// ([`CollectorServer::end_of_day`]), so a resumed run rebuilds an
     /// equivalent server from the options.
-    pub(crate) server: Option<CollectorServer>,
+    pub(crate) server: CollectorServer,
     /// Planted-bug hook (see
     /// [`ResilientCampaign::debug_skip_shed_accounting_every`]).
     debug_shed_miscount_every: u64,
@@ -709,7 +721,7 @@ impl ResilientCampaign {
                 .map(|u| (u.id, u.city.code())),
         );
 
-        let server = options.service.map(CollectorServer::new);
+        let server = CollectorServer::new(options.admission);
         ResilientCampaign {
             campaign,
             options,
@@ -755,9 +767,9 @@ impl ResilientCampaign {
         self.spool.len()
     }
 
-    /// The admission front-end, when running in service mode.
-    pub fn server(&self) -> Option<&CollectorServer> {
-        self.server.as_ref()
+    /// The admission front-end every upload travels through.
+    pub fn server(&self) -> &CollectorServer {
+        &self.server
     }
 
     /// Planted-bug hook mirroring netsim's
@@ -843,12 +855,11 @@ impl ResilientCampaign {
             };
             self.drive_batch(spooled, day);
         }
-        if let Some(server) = &mut self.server {
-            // Day boundary: reset transient admission state so a
-            // checkpointed-and-resumed run (fresh server, re-HELLO)
-            // admits identically to a straight-through one.
-            server.end_of_day(SimTime::from_secs((day + 1) * 86_400));
-        }
+        // Day boundary: reset transient admission state so a
+        // checkpointed-and-resumed run (fresh server, re-HELLO) admits
+        // identically to a straight-through one.
+        self.server
+            .end_of_day(SimTime::from_secs((day + 1) * 86_400));
         self.next_day += 1;
         true
     }
@@ -861,17 +872,15 @@ impl ResilientCampaign {
 
     /// Declares the campaign over: anything still spooled is accounted
     /// terminally (shed if admission refused it, lost otherwise), the
-    /// service — if any — drains, and the collected dataset, coverage
-    /// and quarantine are returned.
+    /// server drains, and the collected dataset, coverage and quarantine
+    /// are returned.
     pub fn finish(mut self) -> Collection {
         for b in std::mem::take(&mut self.spool) {
             self.account_terminal(&b);
         }
-        if let Some(server) = &mut self.server {
-            let t = SimTime::from_secs(self.campaign.config().days * 86_400);
-            let drain = encode_frame(&Frame::Drain { session: 0 });
-            let _ = server.handle_frame(&mut self.collector, &drain, t);
-        }
+        let t = SimTime::from_secs(self.campaign.config().days * 86_400);
+        let drain = SessionClient::new(0, 0, self.options.retry_policy()).drain();
+        let _ = self.server.handle_frame(&mut self.collector, &drain, t);
         Collection {
             dataset: self.collector.dataset(),
             coverage: self.coverage.report(),
@@ -953,93 +962,16 @@ impl ResilientCampaign {
     }
 
     /// Attempts to upload one batch with bounded retries and exponential
-    /// backoff, entirely in virtual time.
+    /// backoff, entirely in virtual time. Every contact is one SLCS
+    /// session exchange — HELLO, then BATCH — through the admission
+    /// server; a typed REJECT extends the backoff chain by the server's
+    /// hint instead of ending it. The order of the RNG draws (corrupt,
+    /// damage, loss, ACK loss, backoff jitter) is frozen: the paper
+    /// artefacts' datasets depend on it byte for byte.
     fn upload(&mut self, batch: &SpooledBatch, day: u64) -> UploadOutcome {
-        if self.server.is_some() {
-            self.upload_service(batch, day)
-        } else {
-            self.upload_direct(batch, day)
-        }
-    }
-
-    /// The pre-service upload path: the collector is reached directly.
-    /// Draw order is frozen — this path reproduces the seed corpus
-    /// byte-for-byte.
-    fn upload_direct(&mut self, batch: &SpooledBatch, day: u64) -> UploadOutcome {
         let i = batch.user_idx;
-        let policy = self.options.retry_policy();
-        let mut rng = self.upload_rng(i, batch.seq, day);
-        let mut t =
-            SimTime::from_secs(day * 86_400 + UPLOAD_SECS_OF_DAY + i as u64 * UPLOAD_STAGGER_SECS);
-        if self.node_down(Self::user_node(i), t) {
-            return UploadOutcome::Offline;
-        }
-        for attempt in 0..=u64::from(self.options.max_retries) {
-            let retries = attempt;
-            if self.node_down(Self::user_node(i), t) {
-                // Went offline mid-chain: spool what's left.
-                return UploadOutcome::Exhausted {
-                    retries,
-                    rejected: false,
-                };
-            }
-            let effect = self.link_effect(2 * i, t);
-            let reachable = !effect.down && !self.node_down(Self::COLLECTOR, t);
-            if reachable {
-                if rng.bernoulli(effect.corrupt) {
-                    // Damaged in flight but delivered: the collector
-                    // quarantines it and ACKs receipt.
-                    let damaged = damage(&batch.bytes, &mut rng);
-                    return match self.collector.submit(&damaged, t) {
-                        Ingested::Quarantined { .. } => UploadOutcome::Quarantined { retries },
-                        Ingested::Accepted { .. } => UploadOutcome::Accepted { retries },
-                        Ingested::Duplicate => UploadOutcome::DuplicateCleared { retries },
-                    };
-                }
-                if !rng.bernoulli(effect.extra_loss) {
-                    return match self.collector.submit(&batch.bytes, t) {
-                        Ingested::Accepted { .. } => {
-                            if rng.bernoulli(self.options.ack_loss) {
-                                UploadOutcome::AcceptedAckLost { retries }
-                            } else {
-                                UploadOutcome::Accepted { retries }
-                            }
-                        }
-                        Ingested::Duplicate => UploadOutcome::DuplicateCleared { retries },
-                        Ingested::Quarantined { .. } => UploadOutcome::Quarantined { retries },
-                    };
-                }
-                // else: lost in flight, fall through to backoff.
-            }
-            t = t.saturating_add(policy.backoff(attempt, &mut rng));
-        }
-        UploadOutcome::Exhausted {
-            retries: u64::from(self.options.max_retries),
-            rejected: false,
-        }
-    }
-
-    /// The service-mode upload path: the same fault gates as
-    /// [`ResilientCampaign::upload_direct`], but every contact travels
-    /// as SLCS frames through the admission server, and typed REJECTs
-    /// extend the backoff chain instead of ending it.
-    fn upload_service(&mut self, batch: &SpooledBatch, day: u64) -> UploadOutcome {
-        let mut server = self.server.take().expect("service mode");
-        let out = self.upload_service_inner(&mut server, batch, day);
-        self.server = Some(server);
-        out
-    }
-
-    fn upload_service_inner(
-        &mut self,
-        server: &mut CollectorServer,
-        batch: &SpooledBatch,
-        day: u64,
-    ) -> UploadOutcome {
-        let i = batch.user_idx;
-        let session = i as u64 + 1;
         let user = self.campaign.population().users[i].id;
-        let policy = self.options.retry_policy();
+        let client = SessionClient::new(i as u64 + 1, user, self.options.retry_policy());
         let mut rng = self.upload_rng(i, batch.seq, day);
         let mut t =
             SimTime::from_secs(day * 86_400 + UPLOAD_SECS_OF_DAY + i as u64 * UPLOAD_STAGGER_SECS);
@@ -1047,9 +979,10 @@ impl ResilientCampaign {
             return UploadOutcome::Offline;
         }
         let mut rejected = false;
-        for attempt in 0..=u64::from(self.options.max_retries) {
+        for attempt in 0..client.policy().attempts() {
             let retries = attempt;
             if self.node_down(Self::user_node(i), t) {
+                // Went offline mid-chain: spool what's left.
                 return UploadOutcome::Exhausted { retries, rejected };
             }
             let effect = self.link_effect(2 * i, t);
@@ -1069,16 +1002,16 @@ impl ResilientCampaign {
                 };
                 if corrupt || !rng.bernoulli(effect.extra_loss) {
                     // Open/refresh the session, then submit the batch.
-                    let hello = encode_frame(&Frame::Hello { session, user });
-                    let _ = server.handle_frame(&mut self.collector, &hello, t);
-                    let frame = encode_frame(&Frame::Batch {
-                        session,
-                        seq: batch.seq,
-                        payload,
-                    });
-                    let reply = server.handle_frame(&mut self.collector, &frame, t);
-                    match decode_frame(&reply).expect("server replies are well-formed") {
-                        Frame::Ack { status, .. } => {
+                    let _ = self
+                        .server
+                        .handle_frame(&mut self.collector, &client.hello(), t);
+                    let frame = client.batch(batch.seq, payload);
+                    let reply = self.server.handle_frame(&mut self.collector, &frame, t);
+                    match client
+                        .parse_reply(&reply)
+                        .expect("server replies are well-formed")
+                    {
+                        ServerReply::Ack { status, .. } => {
                             return match status {
                                 AckStatus::Accepted => {
                                     if rng.bernoulli(self.options.ack_loss) {
@@ -1091,17 +1024,17 @@ impl ResilientCampaign {
                                 AckStatus::Quarantined => UploadOutcome::Quarantined { retries },
                             };
                         }
-                        Frame::Reject { retry_after_ns, .. } => {
+                        ServerReply::Reject { retry_after_ns, .. } => {
                             rejected = true;
                             retry_after = SimDuration::from_nanos(retry_after_ns);
                             // Fall through to backoff and retry.
                         }
-                        _ => unreachable!("handle_frame replies only ACK or REJECT"),
                     }
                 }
                 // else: lost in flight, fall through to backoff.
             }
-            t = t.saturating_add(policy.backoff(attempt, &mut rng).max(retry_after));
+            let backoff = client.policy().backoff(attempt, &mut rng);
+            t = t.saturating_add(backoff.max(retry_after));
         }
         UploadOutcome::Exhausted {
             retries: u64::from(self.options.max_retries),
@@ -1152,12 +1085,16 @@ mod tests {
         direct.sort_canonical();
 
         let collection = ResilientCampaign::new(config, IngestOptions::perfect()).run_to_end();
-        assert_eq!(collection.dataset.digest(), direct.digest());
+        assert_eq!(
+            collection.dataset.digest(),
+            direct.digest(),
+            "a healthy collector service must be invisible to the dataset"
+        );
         assert!(collection.quarantine.is_empty());
         assert_eq!(collection.duplicates, 0);
         let total = collection.coverage.total();
         assert_eq!(total.delivered, total.generated);
-        assert_eq!(total.lost + total.quarantined, 0);
+        assert_eq!(total.shed + total.lost + total.quarantined, 0);
         assert!(collection.coverage.sums_hold());
     }
 
@@ -1264,22 +1201,25 @@ mod tests {
     }
 
     #[test]
-    fn generous_service_delivers_everything() {
-        let config = small_config(21);
-        let mut direct = Campaign::new(config.clone()).run();
-        direct.sort_canonical();
-
-        let mut options = IngestOptions::perfect();
-        options.service = Some(AdmissionConfig::generous());
-        let collection = ResilientCampaign::new(config, options).run_to_end();
-        assert_eq!(
-            collection.dataset.digest(),
-            direct.digest(),
-            "a healthy service must be invisible to the dataset"
-        );
+    fn generous_admission_never_sheds_under_the_fault_storm() {
+        // The assumption that makes routing every upload through the
+        // admission server dataset-neutral: the default budget is never
+        // the reason a batch is refused, even while the storm bites.
+        let config = CampaignConfig {
+            days: 30,
+            ..small_config(33)
+        };
+        let options = IngestOptions::fault_storm(28, config.days);
+        assert_eq!(options.admission, AdmissionConfig::generous());
+        let mut rc = ResilientCampaign::new(config, options);
+        assert_eq!(rc.campaign().population().users.len(), 28);
+        while rc.run_day() {}
+        assert_eq!(rc.server().stats().shed_total(), 0);
+        assert!(rc.server().stats().accepted > 0);
+        let collection = rc.finish();
         let total = collection.coverage.total();
-        assert_eq!(total.delivered, total.generated);
-        assert_eq!(total.shed + total.lost + total.quarantined, 0);
+        assert_eq!(total.shed, 0);
+        assert!(total.retries > 0, "the storm must still bite");
         assert!(collection.coverage.sums_hold());
     }
 
@@ -1287,12 +1227,11 @@ mod tests {
     fn overloaded_service_sheds_but_conserves_exactly() {
         let config = small_config(33);
         let mut options = IngestOptions::fault_storm(28, config.days);
-        options.service = Some(AdmissionConfig::overloaded());
+        options.admission = AdmissionConfig::overloaded();
         let mut rc = ResilientCampaign::new(config, options);
         while rc.run_day() {}
-        let server = rc.server().expect("service mode");
         assert!(
-            server.stats().shed_total() > 0,
+            rc.server().stats().shed_total() > 0,
             "overload must produce typed rejects"
         );
         let collection = rc.finish();
@@ -1313,7 +1252,7 @@ mod tests {
         let run = || {
             let config = small_config(9);
             let mut options = IngestOptions::fault_storm(28, config.days);
-            options.service = Some(AdmissionConfig::overloaded());
+            options.admission = AdmissionConfig::overloaded();
             ResilientCampaign::new(config, options).run_to_end()
         };
         let a = run();
@@ -1326,7 +1265,7 @@ mod tests {
     fn planted_shed_miscount_breaks_the_ledger() {
         let config = small_config(33);
         let mut options = IngestOptions::fault_storm(28, config.days);
-        options.service = Some(AdmissionConfig::overloaded());
+        options.admission = AdmissionConfig::overloaded();
         let mut rc = ResilientCampaign::new(config, options);
         rc.debug_skip_shed_accounting_every(1);
         while rc.run_day() {}

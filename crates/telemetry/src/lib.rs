@@ -18,15 +18,15 @@
 //!   weather exposure, occasional user-triggered speedtests;
 //! * [`wire`] — the versioned, checksummed format record batches travel
 //!   in, with typed decode errors for truncation and corruption;
-//! * [`ingest`] — the resilient upload path: per-user buffering, bounded
-//!   retries with virtual-time backoff, offline spooling under churn,
-//!   and a validating, de-duplicating, quarantining [`ingest::Collector`]
+//! * [`ingest`] — the resilient upload path: per-user buffering, SLCS
+//!   sessions into the collector service, bounded retries with
+//!   virtual-time backoff, offline spooling under churn, and a
+//!   validating, de-duplicating, quarantining [`ingest::Collector`]
 //!   with ground-truth coverage accounting;
 //! * [`retry`] — the shared capped, jittered, virtual-time exponential
-//!   backoff policy both the upload path and the session client use;
+//!   backoff policy every session client uses;
 //! * [`slcs`] — SLCS v1, the framed session protocol
-//!   (HELLO/BATCH/ACK/REJECT/DRAIN) batches travel inside when the
-//!   collector runs as a service;
+//!   (HELLO/BATCH/ACK/REJECT/DRAIN) every batch travels inside;
 //! * [`server`] — the collector-as-a-service admission layer: per-session
 //!   token buckets, a bounded drain queue, a global byte budget, and
 //!   typed load shedding;

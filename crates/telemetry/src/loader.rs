@@ -21,8 +21,10 @@
 //! exactly the gap being resent. The re-proof is what makes the final
 //! dataset byte-identical to an uninterrupted run no matter where the
 //! kill landed relative to the checkpoint cadence.
+//!
+//! The binary's verify pass is a second, fresh [`LoaderUser`] run over
+//! the same sequence numbers — one upload loop serves both phases.
 
-use crate::ingest::Ingested;
 use crate::slcs::AckStatus;
 
 /// What a reconnect means for the upload plan.
@@ -143,17 +145,6 @@ impl LoaderUser {
     }
 }
 
-/// Maps a direct [`crate::ingest::Collector::submit`] result onto the
-/// ACK status a served session would have returned — the in-process
-/// equivalence the loader tests (and the simtest harness) rely on.
-pub fn ack_status_of(ingested: &Ingested) -> AckStatus {
-    match ingested {
-        Ingested::Accepted { .. } => AckStatus::Accepted,
-        Ingested::Duplicate => AckStatus::Duplicate,
-        Ingested::Quarantined { .. } => AckStatus::Quarantined,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,7 +158,7 @@ mod tests {
     fn drive(user: &mut LoaderUser, collector: &mut Collector, pages: u32) {
         while let Some(seq) = user.next_seq() {
             let payload = synthetic_batch(user.user(), seq, pages);
-            let status = ack_status_of(&collector.submit(&payload, SimTime::from_secs(seq)));
+            let status = AckStatus::from(&collector.submit(&payload, SimTime::from_secs(seq)));
             user.on_kept(seq, status);
         }
     }
@@ -198,7 +189,7 @@ mod tests {
         for seq in 1..=8u64 {
             assert_eq!(user.next_seq(), Some(seq));
             let payload = synthetic_batch(7, seq, 4);
-            let status = ack_status_of(&collector.submit(&payload, SimTime::from_secs(seq)));
+            let status = AckStatus::from(&collector.submit(&payload, SimTime::from_secs(seq)));
             user.on_kept(seq, status);
         }
         let generation_after_5 = {
@@ -237,7 +228,7 @@ mod tests {
         let mut user = LoaderUser::new(1, 4);
         for seq in 1..=2u64 {
             let payload = synthetic_batch(1, seq, 3);
-            let status = ack_status_of(&collector.submit(&payload, SimTime::from_secs(seq)));
+            let status = AckStatus::from(&collector.submit(&payload, SimTime::from_secs(seq)));
             user.on_kept(seq, status);
         }
         // TCP blip, same server process: re-proof costs two Duplicates.
@@ -259,7 +250,7 @@ mod tests {
         let mut collector = Collector::new();
         for seq in 1..=3u64 {
             let payload = synthetic_batch(2, seq, 2);
-            let status = ack_status_of(&collector.submit(&payload, SimTime::from_secs(seq)));
+            let status = AckStatus::from(&collector.submit(&payload, SimTime::from_secs(seq)));
             user.on_kept(seq, status);
         }
         // Crash onto an empty dataset (generation 0 — nothing sealed).
@@ -267,7 +258,7 @@ mod tests {
         user.on_reconnect();
         for seq in 1..=3u64 {
             let payload = synthetic_batch(2, seq, 2);
-            let status = ack_status_of(&empty.submit(&payload, SimTime::from_secs(seq)));
+            let status = AckStatus::from(&empty.submit(&payload, SimTime::from_secs(seq)));
             user.on_kept(seq, status);
         }
         assert_eq!(user.gap_resent(), 3);

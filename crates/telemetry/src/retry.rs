@@ -1,10 +1,10 @@
-//! The one retry/backoff policy every telemetry upload path shares.
+//! The one retry/backoff policy every SLCS session client shares.
 //!
-//! Before this module, the exponential-backoff arithmetic lived inline
-//! in the resilient upload loop, and any new retrying client (the SLCS
-//! session client, the load generator) would have re-implemented it —
-//! letting the two paths drift apart in cap, jitter or time base.
-//! [`RetryPolicy`] centralises the contract:
+//! The resilient campaign's in-sim sessions and the `collector-load`
+//! binary's TCP sessions both pace their retries through the
+//! [`RetryPolicy`] their [`crate::client::SessionClient`] carries, so
+//! the two drivers cannot drift apart in cap, jitter or time base. The
+//! contract:
 //!
 //! * **virtual time** — delays are [`SimDuration`]s added to a sim-time
 //!   clock; nothing here consults the host;
@@ -15,8 +15,8 @@
 //!   [`SimRng`], so retry storms decorrelate deterministically.
 //!
 //! The draw order (one `range_f64(0.8, 1.2)` per backoff) is part of the
-//! determinism contract: the resilient campaign's datasets are
-//! byte-identical to the ones produced before the extraction.
+//! determinism contract: the resilient campaign's datasets depend on
+//! it byte for byte.
 
 use starlink_simcore::{SimDuration, SimRng};
 

@@ -27,10 +27,10 @@
 //!
 //! All state advances in **virtual time** from the `now` passed to
 //! [`CollectorServer::handle_frame`]; the server never consults a clock
-//! or an RNG, so traced twin runs are byte-identical and enabling the
-//! server cannot perturb the simulation.
+//! or an RNG, so traced twin runs are byte-identical and the server
+//! cannot perturb the simulation.
 
-use crate::ingest::{Collector, Ingested};
+use crate::ingest::Collector;
 use crate::slcs::{decode_frame, encode_frame, AckStatus, Frame, ShedReason};
 use starlink_simcore::SimTime;
 use std::collections::{BTreeMap, VecDeque};
@@ -294,20 +294,12 @@ impl CollectorServer {
         self.queue.push_back(len);
         self.backlog_bytes += len;
         let depth = self.queue.len() as u64;
-        let status = match collector.submit(payload, now) {
-            Ingested::Accepted { .. } => {
-                self.stats.accepted += 1;
-                AckStatus::Accepted
-            }
-            Ingested::Duplicate => {
-                self.stats.duplicates += 1;
-                AckStatus::Duplicate
-            }
-            Ingested::Quarantined { .. } => {
-                self.stats.quarantined += 1;
-                AckStatus::Quarantined
-            }
-        };
+        let status = AckStatus::from(&collector.submit(payload, now));
+        match status {
+            AckStatus::Accepted => self.stats.accepted += 1,
+            AckStatus::Duplicate => self.stats.duplicates += 1,
+            AckStatus::Quarantined => self.stats.quarantined += 1,
+        }
         starlink_obsv::counter_add("telemetry.admission.accepted", 1);
         starlink_obsv::gauge_set("telemetry.server.queue_depth", depth as i64);
         starlink_obsv::emit(|| starlink_obsv::TraceEvent::AdmissionAccept {

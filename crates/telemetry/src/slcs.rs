@@ -208,6 +208,22 @@ pub fn peek_frame_len(bytes: &[u8]) -> Result<usize, WireError> {
     Ok(SLCS_HEADER_LEN + paylen + 4)
 }
 
+/// Reads one frame off a byte stream: the fixed header first, then
+/// exactly the length the (validated) header claims — a hostile length
+/// never triggers a large allocation because [`peek_frame_len`] enforces
+/// the payload cap before the buffer is sized. The bytes are returned
+/// undecoded; [`decode_frame`] still judges them.
+pub fn read_frame(stream: &mut impl std::io::Read) -> std::io::Result<Vec<u8>> {
+    let mut header = [0u8; SLCS_HEADER_LEN];
+    stream.read_exact(&mut header)?;
+    let total = peek_frame_len(&header)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+    let mut frame = vec![0u8; total];
+    frame[..SLCS_HEADER_LEN].copy_from_slice(&header);
+    stream.read_exact(&mut frame[SLCS_HEADER_LEN..])?;
+    Ok(frame)
+}
+
 /// Decodes and validates one complete sealed frame.
 ///
 /// Checks run in trust order: magic, version, declared length (truncation
@@ -389,6 +405,29 @@ mod tests {
         assert_eq!(
             peek_frame_len(&bytes),
             Err(WireError::BadField { field: "paylen" })
+        );
+    }
+
+    #[test]
+    fn read_frame_splits_a_stream_and_refuses_hostile_headers() {
+        let frames = every_frame();
+        let stream: Vec<u8> = frames.iter().flat_map(encode_frame).collect();
+        let mut cursor = &stream[..];
+        for frame in &frames {
+            let bytes = read_frame(&mut cursor).expect("whole frame available");
+            assert_eq!(decode_frame(&bytes).as_ref(), Ok(frame));
+        }
+        assert_eq!(
+            read_frame(&mut cursor).unwrap_err().kind(),
+            std::io::ErrorKind::UnexpectedEof
+        );
+
+        let mut hostile = encode_frame(&Frame::Drain { session: 1 });
+        let at = SLCS_HEADER_LEN - 4;
+        hostile[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            read_frame(&mut &hostile[..]).unwrap_err().kind(),
+            std::io::ErrorKind::InvalidData
         );
     }
 

@@ -93,7 +93,7 @@ fn twin_traced_runs_are_byte_identical() {
     );
 }
 
-/// Runs an overloaded service-mode ingestion campaign with a JSONL ring
+/// Runs an overloaded-admission ingestion campaign with a JSONL ring
 /// sink and metrics installed, returning the artefacts and the result.
 fn run_traced_service_campaign() -> (String, MetricsRegistry, Collection) {
     assert!(
@@ -115,7 +115,7 @@ fn service_campaign() -> ResilientCampaign {
         ..CampaignConfig::default()
     };
     let mut options = IngestOptions::fault_storm(28, 10);
-    options.service = Some(AdmissionConfig::overloaded());
+    options.admission = AdmissionConfig::overloaded();
     ResilientCampaign::new(config, options)
 }
 
