@@ -13,7 +13,7 @@ use crate::aschange::ExitAs;
 use crate::population::IspClass;
 use crate::records::{PageRecord, SpeedtestRecord};
 use crate::retry::RetryPolicy;
-use crate::slcs::{decode_frame, encode_frame, AckStatus, Frame, ShedReason};
+use crate::slcs::{encode_frame, parse_frame, AckStatus, Frame, ShedReason};
 use crate::wire::{encode_batch, RecordBatch, WireError};
 use starlink_channel::WeatherCondition;
 use starlink_geo::City;
@@ -102,7 +102,7 @@ impl SessionClient {
     /// reply (a stray HELLO or BATCH) are a `bad-field` error: a correct
     /// server never sends them.
     pub fn parse_reply(&self, bytes: &[u8]) -> Result<ServerReply, WireError> {
-        match decode_frame(bytes)? {
+        match parse_frame(bytes)? {
             Frame::Ack { seq, status, .. } => Ok(ServerReply::Ack { seq, status }),
             Frame::Reject {
                 seq,
@@ -169,6 +169,7 @@ pub fn synthetic_batch(user: u64, seq: u64, pages: u32) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slcs::decode_frame;
     use crate::wire::decode_batch;
     use starlink_simcore::SimDuration;
 

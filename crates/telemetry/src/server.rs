@@ -31,7 +31,7 @@
 //! cannot perturb the simulation.
 
 use crate::ingest::Collector;
-use crate::slcs::{decode_frame, encode_frame, AckStatus, Frame, ShedReason};
+use crate::slcs::{encode_frame, parse_frame, AckStatus, Frame, ShedReason};
 use starlink_simcore::SimTime;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -82,6 +82,13 @@ impl AdmissionConfig {
             global_bytes: 2_048,
             drain_bytes_per_sec: 16,
         }
+    }
+
+    /// A full session bucket, in milli-tokens. Saturating: `--burst`
+    /// comes straight off a command line, and a hostile value must mean
+    /// "never throttle", not a wrapped near-empty bucket.
+    fn bucket_cap(&self) -> u64 {
+        self.session_burst.saturating_mul(BATCH_COST_MILLI)
     }
 }
 
@@ -196,7 +203,9 @@ impl CollectorServer {
         now: SimTime,
     ) -> Vec<u8> {
         self.advance(now);
-        let frame = match decode_frame(bytes) {
+        // Borrowed parse: a BATCH payload goes from the receive buffer
+        // to `Collector::submit` without being copied.
+        let frame = match parse_frame(bytes) {
             Ok(frame) => frame,
             Err(_) => return self.shed(0, 0, ShedReason::BadFrame, 0, now),
         };
@@ -206,12 +215,11 @@ impl CollectorServer {
                     return self.shed(session, 0, ShedReason::Draining, 0, now);
                 }
                 self.stats.hellos += 1;
-                let burst = self.config.session_burst * BATCH_COST_MILLI;
                 // A refresh keeps the bucket as-is: repeating HELLO must
                 // not launder an empty bucket back to full.
                 self.sessions.entry(session).or_insert(Session {
                     user,
-                    tokens_milli: burst,
+                    tokens_milli: self.config.bucket_cap(),
                     acc: 0,
                     last: now,
                 });
@@ -225,7 +233,7 @@ impl CollectorServer {
                 session,
                 seq,
                 payload,
-            } => self.handle_batch(collector, session, seq, &payload, now),
+            } => self.handle_batch(collector, session, seq, payload, now),
             Frame::Drain { session } => {
                 self.draining = true;
                 self.stats.drains += 1;
@@ -412,9 +420,9 @@ impl CollectorServer {
         self.backlog_bytes = 0;
         self.drain_acc = 0;
         self.last_drain = now;
-        let burst = self.config.session_burst * BATCH_COST_MILLI;
+        let cap = self.config.bucket_cap();
         for s in self.sessions.values_mut() {
-            s.tokens_milli = burst;
+            s.tokens_milli = cap;
             s.acc = 0;
             s.last = now;
         }
@@ -434,7 +442,7 @@ fn refill(state: &mut Session, now: SimTime, config: &AdmissionConfig) {
     if now.as_nanos() > state.last.as_nanos() {
         state.last = now;
     }
-    let cap = config.session_burst * BATCH_COST_MILLI;
+    let cap = config.bucket_cap();
     state.acc += u128::from(elapsed) * u128::from(config.session_rate_milli);
     let gain = (state.acc / NANOS_PER_SEC).min(u128::from(u64::MAX)) as u64;
     state.acc %= NANOS_PER_SEC;
@@ -447,7 +455,7 @@ fn refill(state: &mut Session, now: SimTime, config: &AdmissionConfig) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slcs::Frame as F;
+    use crate::slcs::{decode_frame, Frame as F};
     use crate::wire::{encode_batch, RecordBatch};
 
     fn batch_bytes(user: u64, seq: u64) -> Vec<u8> {
@@ -725,6 +733,41 @@ mod tests {
         ));
         // The accepted batch survived the drain.
         assert_eq!(collector.accepted_batches(), 1);
+    }
+
+    #[test]
+    fn a_hostile_burst_saturates_to_a_full_bucket() {
+        // `--burst` reaches `session_burst` unvetted; u64::MAX × 1000
+        // used to wrap in release and panic in debug.
+        let config = AdmissionConfig {
+            session_rate_milli: 1,
+            session_burst: u64::MAX,
+            ..AdmissionConfig::generous()
+        };
+        let one_spent = u64::MAX - BATCH_COST_MILLI;
+        let mut server = CollectorServer::new(config);
+        let mut collector = Collector::new();
+        hello(&mut server, &mut collector, 1, 42);
+        assert!(matches!(
+            send_batch(&mut server, &mut collector, 1, 0, SimTime::from_secs(1)),
+            F::Ack {
+                status: AckStatus::Accepted,
+                ..
+            }
+        ));
+        assert_eq!(server.sessions[&1].tokens_milli, one_spent);
+        server.end_of_day(SimTime::from_secs(86_400));
+        assert_eq!(server.sessions[&1].tokens_milli, u64::MAX);
+        assert!(matches!(
+            send_batch(
+                &mut server,
+                &mut collector,
+                1,
+                1,
+                SimTime::from_secs(86_400)
+            ),
+            F::Ack { .. }
+        ));
     }
 
     #[test]

@@ -27,6 +27,16 @@
 //! input maps to a typed [`WireError`] — the same quarantine vocabulary
 //! the batch decoder speaks.
 //!
+//! Two checksums guard a BATCH, and neither stands in for the other.
+//! The frame CRC, checked here by [`parse_frame`], guards the hop: bytes
+//! damaged in transit are shed as [`ShedReason::BadFrame`] before
+//! admission spends a token on them. The SLTB CRC inside the payload is
+//! checked by [`crate::wire::decode_batch`] once the batch is admitted,
+//! and is what quarantines a payload that was already damaged when the
+//! client sealed a sound frame around it. [`parse_frame`] hands the
+//! payload on as a slice of the received buffer, so the second check
+//! reads the bytes where the first left them — no copy in between.
+//!
 //! REJECT reasons are [`ShedReason`]s; the wire code is the reason's
 //! trace-digest tag, so the admission log and the protocol can never
 //! disagree about what a reject meant.
@@ -77,8 +87,13 @@ impl AckStatus {
 }
 
 /// One SLCS frame, either direction.
+///
+/// `P` is how a BATCH carries its sealed SLTB bytes: owned (`Vec<u8>`,
+/// the default — what [`decode_frame`] returns and [`encode_frame`]
+/// takes) or borrowed from the received buffer (`&[u8]`, what
+/// [`parse_frame`] returns so the server can ingest without a copy).
 #[derive(Debug, Clone, PartialEq)]
-pub enum Frame {
+pub enum Frame<P = Vec<u8>> {
     /// Client opens (or refreshes) a session for `user`.
     Hello {
         /// Session identifier chosen by the client.
@@ -93,7 +108,7 @@ pub enum Frame {
         /// The client's per-session frame sequence number.
         seq: u64,
         /// The sealed SLTB bytes, carried opaquely.
-        payload: Vec<u8>,
+        payload: P,
     },
     /// Server accepted the referenced frame.
     Ack {
@@ -122,7 +137,7 @@ pub enum Frame {
     },
 }
 
-impl Frame {
+impl<P> Frame<P> {
     /// The session this frame belongs to.
     pub fn session(&self) -> u64 {
         match *self {
@@ -145,37 +160,83 @@ impl Frame {
     }
 }
 
-/// Encodes a frame into its sealed wire form.
+impl Frame<&[u8]> {
+    /// The owned frame: a BATCH payload is copied out of the buffer it
+    /// was parsed from, every other frame is already self-contained.
+    pub fn into_owned(self) -> Frame {
+        match self {
+            Frame::Hello { session, user } => Frame::Hello { session, user },
+            Frame::Batch {
+                session,
+                seq,
+                payload,
+            } => Frame::Batch {
+                session,
+                seq,
+                payload: payload.to_vec(),
+            },
+            Frame::Ack {
+                session,
+                seq,
+                status,
+            } => Frame::Ack {
+                session,
+                seq,
+                status,
+            },
+            Frame::Reject {
+                session,
+                seq,
+                reason,
+                retry_after_ns,
+            } => Frame::Reject {
+                session,
+                seq,
+                reason,
+                retry_after_ns,
+            },
+            Frame::Drain { session } => Frame::Drain { session },
+        }
+    }
+}
+
+/// Payload sizes of the fixed-shape frames.
+const HELLO_PAYLOAD_LEN: usize = 8;
+const ACK_PAYLOAD_LEN: usize = 1;
+const REJECT_PAYLOAD_LEN: usize = 2 + 8;
+
+/// Encodes a frame into its sealed wire form: header, payload and CRC
+/// written once into one exactly-sized buffer (32 bytes for an ACK, 41
+/// for a REJECT; a BATCH payload is copied straight from the frame).
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let (seq, payload): (u64, Vec<u8>) = match frame {
-        Frame::Hello { user, .. } => {
-            let mut w = WireWriter::new();
-            w.u64(*user);
-            (0, w.into_bytes())
-        }
-        Frame::Batch { seq, payload, .. } => (*seq, payload.clone()),
-        Frame::Ack { seq, status, .. } => (*seq, vec![status.code()]),
-        Frame::Reject {
-            seq,
-            reason,
-            retry_after_ns,
-            ..
-        } => {
-            let mut w = WireWriter::new();
-            w.u16(reason.tag() as u16);
-            w.u64(*retry_after_ns);
-            (*seq, w.into_bytes())
-        }
-        Frame::Drain { .. } => (0, Vec::new()),
+    let (seq, paylen) = match frame {
+        Frame::Hello { .. } => (0, HELLO_PAYLOAD_LEN),
+        Frame::Batch { seq, payload, .. } => (*seq, payload.len()),
+        Frame::Ack { seq, .. } => (*seq, ACK_PAYLOAD_LEN),
+        Frame::Reject { seq, .. } => (*seq, REJECT_PAYLOAD_LEN),
+        Frame::Drain { .. } => (0, 0),
     };
-    let mut w = WireWriter::new();
+    let mut w = WireWriter::with_capacity(SLCS_HEADER_LEN + paylen + 4);
     w.bytes(&SLCS_MAGIC);
     w.u16(SLCS_VERSION);
     w.u8(frame.type_code());
     w.u64(frame.session());
     w.u64(seq);
-    w.u32(payload.len() as u32);
-    w.bytes(&payload);
+    w.u32(paylen as u32);
+    match frame {
+        Frame::Hello { user, .. } => w.u64(*user),
+        Frame::Batch { payload, .. } => w.bytes(payload),
+        Frame::Ack { status, .. } => w.u8(status.code()),
+        Frame::Reject {
+            reason,
+            retry_after_ns,
+            ..
+        } => {
+            w.u16(reason.tag() as u16);
+            w.u64(*retry_after_ns);
+        }
+        Frame::Drain { .. } => {}
+    }
     w.seal()
 }
 
@@ -224,12 +285,20 @@ pub fn read_frame(stream: &mut impl std::io::Read) -> std::io::Result<Vec<u8>> {
     Ok(frame)
 }
 
-/// Decodes and validates one complete sealed frame.
+/// Decodes and validates one complete sealed frame into its owned form:
+/// [`parse_frame`], then the BATCH payload copied out of `bytes`.
+pub fn decode_frame(bytes: &[u8]) -> Result<Frame, WireError> {
+    parse_frame(bytes).map(Frame::into_owned)
+}
+
+/// Validates one complete sealed frame and returns it with a BATCH
+/// payload still borrowed from `bytes` — the whole of the frame's
+/// validation, and no copy.
 ///
 /// Checks run in trust order: magic, version, declared length (truncation
 /// and trailing garbage), checksum, then frame type and payload domains.
 /// Never panics, never reads past `bytes`.
-pub fn decode_frame(bytes: &[u8]) -> Result<Frame, WireError> {
+pub fn parse_frame(bytes: &[u8]) -> Result<Frame<&[u8]>, WireError> {
     let total = peek_frame_len(bytes)?;
     if bytes.len() < total {
         return Err(WireError::Truncated {
@@ -274,7 +343,7 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Frame, WireError> {
         2 => Ok(Frame::Batch {
             session,
             seq,
-            payload: payload.to_vec(),
+            payload,
         }),
         3 => {
             let mut p = WireReader::new(payload);

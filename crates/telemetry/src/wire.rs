@@ -153,17 +153,66 @@ impl RecordBatch {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected) over `bytes` — the checksum algorithm
-/// every real HTTP/zip stack uses, implemented bitwise to stay
-/// dependency-free.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
+/// Bytes [`crc32`] folds into its state per step (slicing-by-16).
+const CRC_SLICES: usize = 16;
+
+/// The slicing lookup tables for [`crc32`], built at compile time (16 KB).
+///
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table of the reflected
+/// IEEE polynomial; `CRC_TABLES[k][b]` is the CRC state after byte `b`
+/// followed by `k` zero bytes, which is what lets sixteen input bytes
+/// fold into the state with sixteen independent lookups.
+static CRC_TABLES: [[u32; 256]; CRC_SLICES] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; CRC_SLICES] {
+    let mut tables = [[0u32; 256]; CRC_SLICES];
+    let mut b = 0u32;
+    while b < 256 {
+        let mut crc = b;
+        let mut bit = 0;
+        while bit < 8 {
             let mask = (crc & 1).wrapping_neg();
             crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            bit += 1;
         }
+        tables[0][b as usize] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < CRC_SLICES {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// CRC-32 (IEEE 802.3, reflected) over `bytes` — the checksum algorithm
+/// every real HTTP/zip stack uses. Dependency-free slicing-by-16:
+/// sixteen bytes per step through the `const`-built [`CRC_TABLES`], then
+/// the tail a byte at a time through the first table. The bit-at-a-time
+/// definition it must equal is the reference model in
+/// `tests/crc_differential.rs`.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut blocks = bytes.chunks_exact(CRC_SLICES);
+    for block in &mut blocks {
+        // The running state folds into the block's first four bytes;
+        // byte `i` then has `CRC_SLICES - 1 - i` bytes after it.
+        let state = crc.to_le_bytes();
+        crc = 0;
+        for (i, &b) in block.iter().enumerate() {
+            let b = if i < 4 { b ^ state[i] } else { b };
+            crc ^= t[CRC_SLICES - 1 - i][usize::from(b)];
+        }
+    }
+    for &b in blocks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -182,6 +231,14 @@ impl WireWriter {
     /// A fresh writer.
     pub fn new() -> Self {
         WireWriter::default()
+    }
+
+    /// A fresh writer with room for `capacity` bytes, for encoders that
+    /// know their output size up front.
+    pub fn with_capacity(capacity: usize) -> Self {
+        WireWriter {
+            buf: Vec::with_capacity(capacity),
+        }
     }
 
     /// The bytes written so far.
