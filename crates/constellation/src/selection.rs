@@ -18,7 +18,7 @@
 
 use crate::snapshot::SnapshotCache;
 use crate::view::Constellation;
-use starlink_geo::Geodetic;
+use starlink_geo::{Geodetic, ObserverFrame};
 use starlink_simcore::{SimDuration, SimTime};
 
 /// Parameters of the terminal's selection policy.
@@ -177,6 +177,9 @@ impl BoundaryTracker {
 /// [`SnapshotCache`] without re-propagating the constellation per user.
 struct ScheduleBuilder {
     observer: Geodetic,
+    /// `observer`'s frame, for the per-sample looks at the serving
+    /// satellite.
+    frame: ObserverFrame,
     policy: SelectionPolicy,
     end: SimTime,
     step: SimDuration,
@@ -199,6 +202,7 @@ impl ScheduleBuilder {
         let step = policy.sample_step.max(SimDuration::from_millis(100));
         ScheduleBuilder {
             observer,
+            frame: ObserverFrame::new(observer),
             policy: *policy,
             end: start + window,
             step,
@@ -221,8 +225,8 @@ impl ScheduleBuilder {
             let t = self.t;
             let offset = t.since(SimTime::ZERO);
             let serving_visible = self.serving.is_some_and(|sat| {
-                constellation
-                    .look(sat, self.observer, offset)
+                self.frame
+                    .look(constellation.position(sat, offset))
                     .visible_above(self.policy.mask_deg)
             });
 
@@ -235,8 +239,9 @@ impl ScheduleBuilder {
                         (self.policy.proactive_margin_deg > 0.0, self.serving)
                     {
                         let horizon = self.boundaries.horizon_of(boundary);
-                        let at_next =
-                            constellation.look(sat, self.observer, horizon.since(SimTime::ZERO));
+                        let at_next = self
+                            .frame
+                            .look(constellation.position(sat, horizon.since(SimTime::ZERO)));
                         if at_next.elevation_deg
                             < self.policy.mask_deg + self.policy.proactive_margin_deg
                         {

@@ -21,7 +21,7 @@
 //! queries return **byte-identical** results to the direct scan.
 
 use crate::view::{Constellation, SatView};
-use starlink_geo::{look_angles, Ecef, Geodetic, LookAngles};
+use starlink_geo::{look_angles, Ecef, EcefColumns, Geodetic, LookAngles, ObserverFrame};
 use starlink_simcore::SimDuration;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -41,19 +41,26 @@ const PRUNE_SLACK_M: f64 = 10_000.0;
 #[derive(Debug, Clone)]
 pub struct PositionSnapshot {
     t: SimDuration,
-    positions: Vec<Ecef>,
-    /// Largest geocentric radius in the snapshot, metres (bounds the
-    /// feasible slant range for the prune).
+    positions: EcefColumns,
+    /// Largest finite geocentric radius in the snapshot, metres (bounds
+    /// the feasible slant range for the prune). A satellite whose position
+    /// is not finite is never visible, so it must not widen the bound for
+    /// the others.
     max_radius_m: f64,
 }
 
 impl PositionSnapshot {
     /// Propagates every satellite of `constellation` to `t`.
     pub fn capture(constellation: &Constellation, t: SimDuration) -> Self {
-        let positions: Vec<Ecef> = (0..constellation.len())
-            .map(|i| constellation.position(i, t))
-            .collect();
-        let max_radius_m = positions.iter().map(|p| p.magnitude()).fold(0.0, f64::max);
+        let positions = constellation.positions(t);
+        // The square root is monotone, so the largest radius is the root
+        // of the largest squared radius.
+        let max_radius_m = positions
+            .iter()
+            .map(|p| p.x * p.x + p.y * p.y + p.z * p.z)
+            .filter(|r2| r2.is_finite())
+            .fold(0.0, f64::max)
+            .sqrt();
         PositionSnapshot {
             t,
             positions,
@@ -78,12 +85,12 @@ impl PositionSnapshot {
 
     /// The cached ECEF position of satellite `index`.
     pub fn position(&self, index: usize) -> Ecef {
-        self.positions[index]
+        self.positions.get(index)
     }
 
     /// The look angles from `observer` to satellite `index`.
     pub fn look(&self, index: usize, observer: Geodetic) -> LookAngles {
-        look_angles(observer, self.positions[index])
+        look_angles(observer, self.positions.get(index))
     }
 
     /// Conservative squared upper bound on the observer→satellite distance
@@ -105,26 +112,33 @@ impl PositionSnapshot {
         Some(d * d)
     }
 
+    /// The satellites the range prune cannot rule out for an observer at
+    /// `obs` under `mask_deg`, in index order.
+    fn candidates(&self, obs: Ecef, mask_deg: f64) -> impl Iterator<Item = (usize, Ecef)> + '_ {
+        // No bound, no prune: nothing is farther than infinity.
+        let limit = self
+            .prune_range_sq_m2(obs, mask_deg)
+            .unwrap_or(f64::INFINITY);
+        self.positions.iter().enumerate().filter(move |(_, pos)| {
+            let dx = pos.x - obs.x;
+            let dy = pos.y - obs.y;
+            let dz = pos.z - obs.z;
+            // A NaN distance is not beyond the limit: it goes on to the
+            // look angles, which find it above no mask.
+            let pruned = dx * dx + dy * dy + dz * dz > limit;
+            !pruned
+        })
+    }
+
     /// All satellites at or above `mask_deg` elevation for `observer`,
     /// sorted by descending elevation then ascending index — exactly the
     /// ordering of the pre-snapshot direct scan.
     pub fn visible_from(&self, observer: Geodetic, mask_deg: f64) -> Vec<SatView> {
-        let obs = observer.to_ecef();
-        let limit_sq = self.prune_range_sq_m2(obs, mask_deg);
+        let frame = ObserverFrame::new(observer);
         let mut views: Vec<SatView> = self
-            .positions
-            .iter()
-            .enumerate()
-            .filter_map(|(index, &pos)| {
-                if let Some(limit) = limit_sq {
-                    let dx = pos.x - obs.x;
-                    let dy = pos.y - obs.y;
-                    let dz = pos.z - obs.z;
-                    if dx * dx + dy * dy + dz * dz > limit {
-                        return None;
-                    }
-                }
-                let look = look_angles(observer, pos);
+            .candidates(frame.ecef(), mask_deg)
+            .filter_map(|(index, pos)| {
+                let look = frame.look(pos);
                 look.visible_above(mask_deg)
                     .then_some(SatView { index, look })
             })
@@ -141,19 +155,10 @@ impl PositionSnapshot {
     /// The highest-elevation visible satellite, if any. Ties keep the
     /// lowest index, matching the direct scan's first-wins comparison.
     pub fn best_visible(&self, observer: Geodetic, mask_deg: f64) -> Option<SatView> {
-        let obs = observer.to_ecef();
-        let limit_sq = self.prune_range_sq_m2(obs, mask_deg);
+        let frame = ObserverFrame::new(observer);
         let mut best: Option<SatView> = None;
-        for (index, &pos) in self.positions.iter().enumerate() {
-            if let Some(limit) = limit_sq {
-                let dx = pos.x - obs.x;
-                let dy = pos.y - obs.y;
-                let dz = pos.z - obs.z;
-                if dx * dx + dy * dy + dz * dz > limit {
-                    continue;
-                }
-            }
-            let look = look_angles(observer, pos);
+        for (index, pos) in self.candidates(frame.ecef(), mask_deg) {
+            let look = frame.look(pos);
             if !look.visible_above(mask_deg) {
                 continue;
             }
@@ -330,6 +335,49 @@ mod tests {
         let analytic = max_slant_range(Meters::from_km(550.0), 25.0).as_f64();
         let bound = snap.prune_range_sq_m2(obs, 25.0).unwrap().sqrt();
         assert!(bound > analytic, "bound {bound} vs analytic {analytic}");
+    }
+
+    #[test]
+    fn non_finite_position_does_not_widen_the_prune() {
+        // A satellite that does not move (mean motion 0, which only
+        // hand-built elements can carry past `Tle::parse`) has an infinite
+        // semi-major axis and a non-finite position. It is never visible,
+        // and it must not cost the others their prune.
+        let mut tles = ShellConfig {
+            planes: 12,
+            sats_per_plane: 8,
+            ..ShellConfig::starlink_shell1()
+        }
+        .generate();
+        let healthy = Constellation::from_tles(&tles, 0.0);
+        let mut rogue = tles[0].clone();
+        rogue.elements.mean_motion_rev_per_day = 0.0;
+        tles.push(rogue);
+        let with_rogue = Constellation::from_tles(&tles, 0.0);
+
+        let observer = Geodetic::on_surface(51.5, -0.12);
+        for minute in [0u64, 7, 31] {
+            let t = SimDuration::from_mins(minute);
+            let snap = with_rogue.snapshot(t);
+            let rogue_pos = snap.position(tles.len() - 1);
+            assert!(!rogue_pos.magnitude().is_finite(), "{rogue_pos:?}");
+            let bound = snap.prune_range_sq_m2(observer.to_ecef(), 25.0);
+            assert!(bound.is_some_and(f64::is_finite), "{bound:?}");
+            assert_eq!(
+                bound,
+                healthy
+                    .snapshot(t)
+                    .prune_range_sq_m2(observer.to_ecef(), 25.0)
+            );
+            assert_eq!(
+                snap.visible_from(observer, 25.0),
+                healthy.visible_from(observer, t, 25.0)
+            );
+            assert_eq!(
+                snap.visible_from(observer, 25.0),
+                direct_visible_from(&with_rogue, observer, t, 25.0)
+            );
+        }
     }
 
     #[test]

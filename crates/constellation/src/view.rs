@@ -1,8 +1,8 @@
 //! The constellation container and visibility queries.
 
-use starlink_geo::{look_angles, Ecef, Geodetic, LookAngles};
+use starlink_geo::{look_angles, Ecef, EcefColumns, Geodetic, LookAngles};
 use starlink_simcore::SimDuration;
-use starlink_tle::{Propagator, Tle};
+use starlink_tle::{BatchPropagator, Tle};
 
 /// The default minimum elevation mask for Starlink shell-1 terminals,
 /// degrees, per the SpaceX FCC filings cited by the paper.
@@ -21,7 +21,7 @@ pub struct SatView {
 pub struct Constellation {
     names: Vec<String>,
     catalog_numbers: Vec<u32>,
-    propagators: Vec<Propagator>,
+    propagators: BatchPropagator,
 }
 
 impl Constellation {
@@ -30,18 +30,10 @@ impl Constellation {
     /// the whole constellation relative to the ground, letting scenarios
     /// pin a reproducible geometry).
     pub fn from_tles(tles: &[Tle], gmst0_rad: f64) -> Self {
-        let mut names = Vec::with_capacity(tles.len());
-        let mut catalog_numbers = Vec::with_capacity(tles.len());
-        let mut propagators = Vec::with_capacity(tles.len());
-        for tle in tles {
-            names.push(tle.name.clone());
-            catalog_numbers.push(tle.elements.catalog_number);
-            propagators.push(Propagator::new(&tle.elements, gmst0_rad));
-        }
         Constellation {
-            names,
-            catalog_numbers,
-            propagators,
+            names: tles.iter().map(|tle| tle.name.clone()).collect(),
+            catalog_numbers: tles.iter().map(|tle| tle.elements.catalog_number).collect(),
+            propagators: BatchPropagator::new(tles.iter().map(|tle| &tle.elements), gmst0_rad),
         }
     }
 
@@ -72,12 +64,19 @@ impl Constellation {
 
     /// Earth-fixed position of satellite `index` at `t` after epoch.
     pub fn position(&self, index: usize, t: SimDuration) -> Ecef {
-        self.propagators[index].position_at(t)
+        self.position_at_secs(index, t.as_secs_f64())
     }
 
     /// Earth-fixed position at a (possibly negative) second offset.
     pub fn position_at_secs(&self, index: usize, t_secs: f64) -> Ecef {
-        self.propagators[index].position_at_secs(t_secs)
+        self.propagators.position_at_secs(index, t_secs)
+    }
+
+    /// Earth-fixed position of every satellite at `t` after epoch, in
+    /// index order: one batch propagation, not [`Constellation::len`]
+    /// calls of [`Constellation::position`] (the results are the same).
+    pub fn positions(&self, t: SimDuration) -> EcefColumns {
+        self.propagators.positions_at_secs(t.as_secs_f64())
     }
 
     /// Propagates every satellite to `t` as a shareable
@@ -109,7 +108,7 @@ impl Constellation {
     /// The look angles from `observer` to satellite `index` at `t`
     /// (regardless of visibility).
     pub fn look(&self, index: usize, observer: Geodetic, t: SimDuration) -> LookAngles {
-        look_angles(observer, self.propagators[index].position_at(t))
+        look_angles(observer, self.position(index, t))
     }
 }
 

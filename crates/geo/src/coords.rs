@@ -146,6 +146,63 @@ impl Ecef {
     }
 }
 
+/// Many ECEF positions, one column per axis, metres.
+///
+/// A whole-constellation propagation fills these; a range test against
+/// one observer is then a straight pass over three `f64` slices.
+#[derive(Debug, Clone)]
+pub struct EcefColumns {
+    x: Vec<f64>,
+    y: Vec<f64>,
+    z: Vec<f64>,
+}
+
+impl EcefColumns {
+    /// Empty columns with room for `n` positions.
+    pub fn with_capacity(n: usize) -> Self {
+        EcefColumns {
+            x: Vec::with_capacity(n),
+            y: Vec::with_capacity(n),
+            z: Vec::with_capacity(n),
+        }
+    }
+
+    /// Appends one position.
+    pub fn push(&mut self, p: Ecef) {
+        self.x.push(p.x);
+        self.y.push(p.y);
+        self.z.push(p.z);
+    }
+
+    /// Number of positions.
+    pub fn len(&self) -> usize {
+        self.x.len()
+    }
+
+    /// Whether there are no positions.
+    pub fn is_empty(&self) -> bool {
+        self.x.is_empty()
+    }
+
+    /// Position `index`.
+    pub fn get(&self, index: usize) -> Ecef {
+        Ecef {
+            x: self.x[index],
+            y: self.y[index],
+            z: self.z[index],
+        }
+    }
+
+    /// The positions in index order.
+    pub fn iter(&self) -> impl Iterator<Item = Ecef> + '_ {
+        self.x
+            .iter()
+            .zip(&self.y)
+            .zip(&self.z)
+            .map(|((&x, &y), &z)| Ecef { x, y, z })
+    }
+}
+
 /// Great-circle (surface) distance between two geodetic points, using the
 /// haversine formula on the mean-radius sphere. Altitudes are ignored.
 ///

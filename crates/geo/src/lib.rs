@@ -9,7 +9,8 @@
 //!   and Earth-centred Earth-fixed (ECEF) Cartesian frames
 //!   ([`Geodetic`], [`Ecef`]);
 //! * look angles — the elevation and azimuth of a satellite as seen from a
-//!   ground station ([`LookAngles`], [`look::look_angles`]) — which decide
+//!   ground station ([`LookAngles`], [`look::look_angles`], or
+//!   [`ObserverFrame`] when one observer looks at many targets) — which decide
 //!   visibility against Starlink's 25° minimum-elevation rule;
 //! * surface and slant-range distances ([`coords::haversine_distance`],
 //!   [`Ecef::distance`]) which, combined with
@@ -27,5 +28,5 @@ pub mod coords;
 pub mod look;
 
 pub use cities::{City, CityInfo};
-pub use coords::{haversine_distance, Ecef, Geodetic};
-pub use look::{look_angles, LookAngles};
+pub use coords::{haversine_distance, Ecef, EcefColumns, Geodetic};
+pub use look::{look_angles, LookAngles, ObserverFrame};

@@ -29,35 +29,76 @@ impl LookAngles {
     }
 }
 
+/// An observer's ECEF position and East-North-Up axes, computed once.
+///
+/// [`look_angles`] rebuilds both from the geodetic position on every
+/// call; a sweep that looks at many targets from one place (every
+/// candidate of a visibility query, every one-second sample of a serving
+/// schedule) builds the frame once and calls [`ObserverFrame::look`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ObserverFrame {
+    ecef: Ecef,
+    sin_lat: f64,
+    cos_lat: f64,
+    sin_lon: f64,
+    cos_lon: f64,
+}
+
+impl ObserverFrame {
+    /// The frame of `observer`.
+    pub fn new(observer: Geodetic) -> Self {
+        let (sin_lat, cos_lat) = observer.lat_deg.to_radians().sin_cos();
+        let (sin_lon, cos_lon) = observer.lon_deg.to_radians().sin_cos();
+        ObserverFrame {
+            ecef: observer.to_ecef(),
+            sin_lat,
+            cos_lat,
+            sin_lon,
+            cos_lon,
+        }
+    }
+
+    /// The observer's ECEF position.
+    pub fn ecef(&self) -> Ecef {
+        self.ecef
+    }
+
+    /// The look angles from this observer to `target`.
+    pub fn look(&self, target: Ecef) -> LookAngles {
+        let dx = target.x - self.ecef.x;
+        let dy = target.y - self.ecef.y;
+        let dz = target.z - self.ecef.z;
+        let ObserverFrame {
+            sin_lat,
+            cos_lat,
+            sin_lon,
+            cos_lon,
+            ..
+        } = *self;
+
+        // ECEF delta -> ENU (east, north, up).
+        let east = -sin_lon * dx + cos_lon * dy;
+        let north = -sin_lat * cos_lon * dx - sin_lat * sin_lon * dy + cos_lat * dz;
+        let up = cos_lat * cos_lon * dx + cos_lat * sin_lon * dy + sin_lat * dz;
+
+        let range = (east * east + north * north + up * up).sqrt();
+        let elevation = (up / range).asin().to_degrees();
+        let mut azimuth = east.atan2(north).to_degrees();
+        if azimuth < 0.0 {
+            azimuth += 360.0;
+        }
+
+        LookAngles {
+            elevation_deg: elevation,
+            azimuth_deg: azimuth,
+            range: Meters::new(range),
+        }
+    }
+}
+
 /// Computes the look angles from `observer` (geodetic) to `target` (ECEF).
 pub fn look_angles(observer: Geodetic, target: Ecef) -> LookAngles {
-    let obs_ecef = observer.to_ecef();
-    let dx = target.x - obs_ecef.x;
-    let dy = target.y - obs_ecef.y;
-    let dz = target.z - obs_ecef.z;
-
-    let lat = observer.lat_deg.to_radians();
-    let lon = observer.lon_deg.to_radians();
-    let (sin_lat, cos_lat) = lat.sin_cos();
-    let (sin_lon, cos_lon) = lon.sin_cos();
-
-    // ECEF delta -> ENU (east, north, up).
-    let east = -sin_lon * dx + cos_lon * dy;
-    let north = -sin_lat * cos_lon * dx - sin_lat * sin_lon * dy + cos_lat * dz;
-    let up = cos_lat * cos_lon * dx + cos_lat * sin_lon * dy + sin_lat * dz;
-
-    let range = (east * east + north * north + up * up).sqrt();
-    let elevation = (up / range).asin().to_degrees();
-    let mut azimuth = east.atan2(north).to_degrees();
-    if azimuth < 0.0 {
-        azimuth += 360.0;
-    }
-
-    LookAngles {
-        elevation_deg: elevation,
-        azimuth_deg: azimuth,
-        range: Meters::new(range),
-    }
+    ObserverFrame::new(observer).look(target)
 }
 
 /// Maximum slant range at which a satellite at `altitude` is still at or

@@ -242,7 +242,9 @@ pub fn run_fairness(spec: &FlowMixSpec, opts: &RunOptions) -> FairnessReport {
             TcpConfig::stream_until(i as u64 + 1, algo, SimTime::from_millis(spec.duration_ms));
         if algo == CcAlgorithm::Bbr2 {
             bbr2_seen += 1;
-            if opts.inject_unfair_bug_every > 0 && bbr2_seen.is_multiple_of(opts.inject_unfair_bug_every) {
+            if opts.inject_unfair_bug_every > 0
+                && bbr2_seen.is_multiple_of(opts.inject_unfair_bug_every)
+            {
                 config = config.with_unfair_cc_bug();
             }
         }

@@ -12,7 +12,9 @@
 //!   text format ([`Tle::parse`], [`Tle::to_lines`]);
 //! * [`propagate::Propagator`] — a Keplerian propagator with secular J2
 //!   corrections (RAAN/argument-of-perigee drift), solving Kepler's
-//!   equation per step and rotating into the Earth-fixed frame. For
+//!   equation per step and rotating into the Earth-fixed frame;
+//!   [`propagate::BatchPropagator`] runs the same kernel over a whole
+//!   constellation, sharing what the instant and the plane fix. For
 //!   near-circular 550 km orbits over the minutes-to-hours horizons the
 //!   experiments need, this tracks full SGP4 to within a few kilometres —
 //!   far below the ~1100 km visibility threshold that drives handover
@@ -32,5 +34,5 @@ pub mod synthetic;
 
 pub use elements::{OrbitalElements, Tle};
 pub use parse::TleError;
-pub use propagate::Propagator;
+pub use propagate::{BatchPropagator, Propagator};
 pub use synthetic::{starlink_shell1, ShellConfig};

@@ -107,6 +107,10 @@ fn cols(line: &str, from: usize, to: usize) -> &str {
     std::str::from_utf8(&bytes[start..end]).unwrap_or("").trim()
 }
 
+/// Parses a plain decimal field: an optional sign, digits, at most one
+/// point. `f64::from_str` alone would also take `NaN`, `inf` and exponent
+/// forms, none of which the format has and all of which fit the columns;
+/// what passes here is finite.
 fn parse_f64(
     line: &str,
     from: usize,
@@ -114,9 +118,14 @@ fn parse_f64(
     lineno: u8,
     field: &'static str,
 ) -> Result<f64, TleError> {
-    cols(line, from, to)
-        .parse::<f64>()
-        .map_err(|_| TleError::BadField {
+    let s = cols(line, from, to);
+    s.parse::<f64>()
+        .ok()
+        .filter(|_| {
+            s.bytes()
+                .all(|b| b.is_ascii_digit() || matches!(b, b'.' | b'+' | b'-'))
+        })
+        .ok_or(TleError::BadField {
             line: lineno,
             field,
         })
@@ -181,7 +190,13 @@ fn parse_exp_field(s: &str, lineno: u8, field: &'static str) -> Result<f64, TleE
         line: lineno,
         field,
     })?;
-    Ok(sign * mant * 10f64.powi(exp))
+    // The field is wide enough for an exponent that overflows.
+    Some(sign * mant * 10f64.powi(exp))
+        .filter(|v| v.is_finite())
+        .ok_or(TleError::BadField {
+            line: lineno,
+            field,
+        })
 }
 
 /// Formats a value into the `±MMMMM±E` assumed-decimal exponent field
@@ -267,17 +282,27 @@ impl Tle {
 
         let inclination_deg = parse_f64(line2, 9, 16, 2, "inclination")?;
         let raan_deg = parse_f64(line2, 18, 25, 2, "raan")?;
+        // Digits only, behind an assumed point: 0 <= e < 1.
         let ecc_digits = cols(line2, 27, 33);
-        let eccentricity =
-            format!("0.{ecc_digits}")
-                .parse::<f64>()
-                .map_err(|_| TleError::BadField {
-                    line: 2,
-                    field: "eccentricity",
-                })?;
+        let eccentricity = format!("0.{ecc_digits}")
+            .parse::<f64>()
+            .ok()
+            .filter(|_| ecc_digits.bytes().all(|b| b.is_ascii_digit()))
+            .ok_or(TleError::BadField {
+                line: 2,
+                field: "eccentricity",
+            })?;
         let arg_perigee_deg = parse_f64(line2, 35, 42, 2, "arg perigee")?;
         let mean_anomaly_deg = parse_f64(line2, 44, 51, 2, "mean anomaly")?;
+        // A satellite that does not move has no orbit: its semi-major axis
+        // would be infinite, and so would every position.
         let mean_motion_rev_per_day = parse_f64(line2, 53, 63, 2, "mean motion")?;
+        if mean_motion_rev_per_day <= 0.0 {
+            return Err(TleError::BadField {
+                line: 2,
+                field: "mean motion",
+            });
+        }
         let rev_number = parse_u32(line2, 64, 68, 2, "rev number")?;
 
         Ok(Tle {
@@ -449,6 +474,59 @@ mod tests {
         l2.replace_range(68..69, &c.to_string());
         let err = Tle::parse(ISS_NAME, ISS_L1, &l2).unwrap_err();
         assert!(matches!(err, TleError::CatalogMismatch { .. }));
+    }
+
+    /// `ISS_L2` with `text` written at 1-indexed column `from` and the
+    /// checksum recomputed, so only the field is at fault.
+    fn iss_l2_with(from: usize, text: &str) -> String {
+        let mut l2 = ISS_L2.to_string();
+        l2.replace_range(from - 1..from - 1 + text.len(), text);
+        let c = checksum(&l2);
+        l2.replace_range(68..69, &c.to_string());
+        l2
+    }
+
+    #[test]
+    fn rejects_fields_that_only_f64_from_str_would_take() {
+        // Every one of these parsed `Ok` when the gate was `f64::from_str`,
+        // and propagated to a non-finite position.
+        for (from, text, field) in [
+            (53, " 0.00000000", "mean motion"),
+            (53, "        NaN", "mean motion"),
+            (53, "        inf", "mean motion"),
+            (53, "     1e-300", "mean motion"),
+            (53, "-15.7212539", "mean motion"),
+            (9, "     NaN", "inclination"),
+            (18, "infinity", "raan"),
+            (27, "9999e99", "eccentricity"),
+            (27, "-000670", "eccentricity"),
+        ] {
+            let l2 = iss_l2_with(from, text);
+            assert_eq!(
+                Tle::parse(ISS_NAME, ISS_L1, &l2).unwrap_err(),
+                TleError::BadField { line: 2, field },
+                "{text:?}"
+            );
+        }
+        // The helper itself leaves a parseable line.
+        assert!(Tle::parse(ISS_NAME, ISS_L1, &iss_l2_with(53, "15.72125391")).is_ok());
+    }
+
+    #[test]
+    fn exp_field_overflow_is_refused() {
+        assert!(parse_exp_field("1+999999", 1, "t").is_err());
+        assert!(parse_exp_field("0+999999", 1, "t").is_err());
+        let mut l1 = ISS_L1.to_string();
+        l1.replace_range(53..61, " 1+99999");
+        let c = checksum(&l1);
+        l1.replace_range(68..69, &c.to_string());
+        assert_eq!(
+            Tle::parse(ISS_NAME, &l1, ISS_L2).unwrap_err(),
+            TleError::BadField {
+                line: 1,
+                field: "bstar"
+            }
+        );
     }
 
     #[test]

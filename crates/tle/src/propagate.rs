@@ -16,7 +16,7 @@
 //! visibility and slant-range computations consume.
 
 use crate::elements::{OrbitalElements, J2, MU_EARTH, OMEGA_EARTH, RE_EARTH};
-use starlink_geo::Ecef;
+use starlink_geo::{Ecef, EcefColumns};
 use starlink_simcore::SimDuration;
 
 /// A satellite propagator built from one TLE's mean elements.
@@ -25,14 +25,22 @@ use starlink_simcore::SimDuration;
 /// a configurable Greenwich sidereal angle at that epoch (`gmst0_rad`) so a
 /// scenario can position the constellation relative to the ground stations
 /// reproducibly.
+///
+/// Everything that is constant for the satellite — including the
+/// inclination's sine and cosine and `√(1 − e²)` — is evaluated here, once;
+/// a position costs only what depends on the instant.
 #[derive(Debug, Clone)]
 pub struct Propagator {
     /// Semi-major axis, m.
     a: f64,
     /// Eccentricity.
     e: f64,
-    /// Inclination, rad.
-    inc: f64,
+    /// `√(1 − e²)`.
+    sqrt_1me2: f64,
+    /// Sine of the inclination.
+    sin_i: f64,
+    /// Cosine of the inclination.
+    cos_i: f64,
     /// RAAN at epoch, rad.
     raan0: f64,
     /// Argument of perigee at epoch, rad.
@@ -49,6 +57,15 @@ pub struct Propagator {
     gmst0: f64,
 }
 
+/// Sine and cosine of one angle.
+type SinCos = (f64, f64);
+
+/// The Earth-rotation angle `t` seconds after an epoch at `gmst0`: the
+/// same for every satellite propagated to that instant.
+fn earth_rotation(gmst0: f64, t: f64) -> SinCos {
+    (gmst0 + OMEGA_EARTH * t).sin_cos()
+}
+
 impl Propagator {
     /// Builds a propagator from mean elements, with the Greenwich sidereal
     /// angle at epoch fixed to `gmst0_rad`.
@@ -56,28 +73,25 @@ impl Propagator {
         let n0 = elements.mean_motion_rad_per_sec();
         let a = (MU_EARTH / (n0 * n0)).cbrt();
         let e = elements.eccentricity;
-        let inc = elements.inclination_deg.to_radians();
+        let (sin_i, cos_i) = elements.inclination_deg.to_radians().sin_cos();
+        let sqrt_1me2 = (1.0 - e * e).sqrt();
         let p = a * (1.0 - e * e);
         let factor = 1.5 * J2 * (RE_EARTH / p).powi(2) * n0;
-        let cos_i = inc.cos();
 
         // Secular J2 rates (standard first-order theory).
         let raan_dot = -factor * cos_i;
-        let argp_dot = factor * (2.0 - 2.5 * inc.sin().powi(2));
+        let argp_dot = factor * (2.0 - 2.5 * sin_i.powi(2));
         // J2 correction to the mean motion (keeps the draconitic period
         // honest; small at 53°).
         let n = n0
-            * (1.0
-                + 1.5
-                    * J2
-                    * (RE_EARTH / p).powi(2)
-                    * (1.0 - e * e).sqrt()
-                    * (1.0 - 1.5 * inc.sin().powi(2)));
+            * (1.0 + 1.5 * J2 * (RE_EARTH / p).powi(2) * sqrt_1me2 * (1.0 - 1.5 * sin_i.powi(2)));
 
         Propagator {
             a,
             e,
-            inc,
+            sqrt_1me2,
+            sin_i,
+            cos_i,
             raan0: elements.raan_deg.to_radians(),
             argp0: elements.arg_perigee_deg.to_radians(),
             m0: elements.mean_anomaly_deg.to_radians(),
@@ -106,47 +120,192 @@ impl Propagator {
     /// Earth-fixed position `t` seconds after the TLE epoch (negative `t`
     /// rewinds, useful for windowed analyses).
     pub fn position_at_secs(&self, t: f64) -> Ecef {
-        // Mean anomaly and drifted angles at t.
+        self.position_in(t, self.node_at(t), earth_rotation(self.gmst0, t))
+    }
+
+    /// The drifted ascending node at `t`: shared by every satellite of the
+    /// same orbital plane.
+    fn node_at(&self, t: f64) -> SinCos {
+        (self.raan0 + self.raan_dot * t).sin_cos()
+    }
+
+    /// The propagation kernel: this satellite's position at `t`, given the
+    /// two rotations that do not depend on it — its plane's `node` at `t`
+    /// and the `earth` rotation at `t`.
+    #[inline]
+    fn position_in(&self, t: f64, (sin_raan, cos_raan): SinCos, (sin_t, cos_t): SinCos) -> Ecef {
+        // Mean anomaly and drifted perigee at t.
         let m = self.m0 + self.n * t;
-        let raan = self.raan0 + self.raan_dot * t;
         let argp = self.argp0 + self.argp_dot * t;
 
-        // Kepler's equation: E - e sin E = M, Newton iteration.
+        // Kepler's equation: E - e sin E = M, Newton iteration. A step
+        // that returns its own input has reached the fixed point: every
+        // later step would return it again, so leaving early changes no
+        // bit of the result — and the sine and cosine just taken are those
+        // of the final E. A near-circular orbit gets there in two or
+        // three steps; one that has not by the eighth stops where the
+        // eight-step loop always did.
         let mut big_e = if self.e < 0.8 {
             m
         } else {
             std::f64::consts::PI
         };
+        let mut fixed_point = None;
         for _ in 0..8 {
-            let f = big_e - self.e * big_e.sin() - m;
-            let fp = 1.0 - self.e * big_e.cos();
-            big_e -= f / fp;
+            let (sin_e, cos_e) = big_e.sin_cos();
+            let f = big_e - self.e * sin_e - m;
+            let fp = 1.0 - self.e * cos_e;
+            let next = big_e - f / fp;
+            if next.to_bits() == big_e.to_bits() {
+                fixed_point = Some((sin_e, cos_e));
+                break;
+            }
+            big_e = next;
         }
 
         // True anomaly and radius.
-        let (sin_e, cos_e) = big_e.sin_cos();
-        let sqrt_1me2 = (1.0 - self.e * self.e).sqrt();
-        let nu = (sqrt_1me2 * sin_e).atan2(cos_e - self.e);
+        let (sin_e, cos_e) = fixed_point.unwrap_or_else(|| big_e.sin_cos());
+        let nu = (self.sqrt_1me2 * sin_e).atan2(cos_e - self.e);
         let r = self.a * (1.0 - self.e * cos_e);
 
         // Perifocal -> inertial (ECI) via the 3-1-3 rotation.
         let u = argp + nu; // argument of latitude
         let (sin_u, cos_u) = u.sin_cos();
-        let (sin_raan, cos_raan) = raan.sin_cos();
-        let (sin_i, cos_i) = self.inc.sin_cos();
 
-        let x_eci = r * (cos_raan * cos_u - sin_raan * sin_u * cos_i);
-        let y_eci = r * (sin_raan * cos_u + cos_raan * sin_u * cos_i);
-        let z_eci = r * (sin_u * sin_i);
+        let x_eci = r * (cos_raan * cos_u - sin_raan * sin_u * self.cos_i);
+        let y_eci = r * (sin_raan * cos_u + cos_raan * sin_u * self.cos_i);
+        let z_eci = r * (sin_u * self.sin_i);
 
         // ECI -> ECEF: rotate by the Greenwich sidereal angle.
-        let theta = self.gmst0 + OMEGA_EARTH * t;
-        let (sin_t, cos_t) = theta.sin_cos();
         Ecef {
             x: cos_t * x_eci + sin_t * y_eci,
             y: -sin_t * x_eci + cos_t * y_eci,
             z: z_eci,
         }
+    }
+}
+
+/// The propagators of a whole constellation, one column per constant, all
+/// at one Greenwich angle.
+///
+/// [`BatchPropagator::positions_at_secs`] is how a constellation is
+/// propagated: the Earth rotation is evaluated once per call and the node
+/// rotation once per run of satellites in the same plane, instead of once
+/// per satellite. Each position is the one [`Propagator::position_at_secs`]
+/// returns for that satellite, bit for bit — both are the same kernel.
+#[derive(Debug, Clone)]
+pub struct BatchPropagator {
+    a: Vec<f64>,
+    e: Vec<f64>,
+    sqrt_1me2: Vec<f64>,
+    sin_i: Vec<f64>,
+    cos_i: Vec<f64>,
+    raan0: Vec<f64>,
+    argp0: Vec<f64>,
+    m0: Vec<f64>,
+    n: Vec<f64>,
+    raan_dot: Vec<f64>,
+    argp_dot: Vec<f64>,
+    gmst0: f64,
+}
+
+impl BatchPropagator {
+    /// Builds the columns from mean elements, in iteration order, with the
+    /// Greenwich sidereal angle at the common epoch fixed to `gmst0_rad`.
+    pub fn new<'a>(
+        elements: impl IntoIterator<Item = &'a OrbitalElements>,
+        gmst0_rad: f64,
+    ) -> Self {
+        let elements = elements.into_iter();
+        let column = || Vec::with_capacity(elements.size_hint().0);
+        let mut batch = BatchPropagator {
+            a: column(),
+            e: column(),
+            sqrt_1me2: column(),
+            sin_i: column(),
+            cos_i: column(),
+            raan0: column(),
+            argp0: column(),
+            m0: column(),
+            n: column(),
+            raan_dot: column(),
+            argp_dot: column(),
+            gmst0: gmst0_rad,
+        };
+        for elements in elements {
+            let p = Propagator::new(elements, gmst0_rad);
+            batch.a.push(p.a);
+            batch.e.push(p.e);
+            batch.sqrt_1me2.push(p.sqrt_1me2);
+            batch.sin_i.push(p.sin_i);
+            batch.cos_i.push(p.cos_i);
+            batch.raan0.push(p.raan0);
+            batch.argp0.push(p.argp0);
+            batch.m0.push(p.m0);
+            batch.n.push(p.n);
+            batch.raan_dot.push(p.raan_dot);
+            batch.argp_dot.push(p.argp_dot);
+        }
+        batch
+    }
+
+    /// Number of satellites.
+    pub fn len(&self) -> usize {
+        self.a.len()
+    }
+
+    /// Whether the batch is empty.
+    pub fn is_empty(&self) -> bool {
+        self.a.is_empty()
+    }
+
+    /// Satellite `index` gathered back out of the columns.
+    #[inline]
+    fn satellite(&self, index: usize) -> Propagator {
+        Propagator {
+            a: self.a[index],
+            e: self.e[index],
+            sqrt_1me2: self.sqrt_1me2[index],
+            sin_i: self.sin_i[index],
+            cos_i: self.cos_i[index],
+            raan0: self.raan0[index],
+            argp0: self.argp0[index],
+            m0: self.m0[index],
+            n: self.n[index],
+            raan_dot: self.raan_dot[index],
+            argp_dot: self.argp_dot[index],
+            gmst0: self.gmst0,
+        }
+    }
+
+    /// Earth-fixed position of satellite `index`, `t` seconds after epoch.
+    pub fn position_at_secs(&self, index: usize, t: f64) -> Ecef {
+        self.satellite(index).position_at_secs(t)
+    }
+
+    /// Earth-fixed position of every satellite `t` seconds after epoch, in
+    /// index order.
+    pub fn positions_at_secs(&self, t: f64) -> EcefColumns {
+        let earth = earth_rotation(self.gmst0, t);
+        let mut positions = EcefColumns::with_capacity(self.len());
+        // The last node evaluated and the plane it belongs to. Only the
+        // cost depends on same-plane satellites being adjacent: a plane
+        // that comes back later is evaluated again, to the same bits.
+        let mut plane = None;
+        for index in 0..self.len() {
+            let sat = self.satellite(index);
+            let key = (sat.raan0.to_bits(), sat.raan_dot.to_bits());
+            let node = match plane {
+                Some((k, node)) if k == key => node,
+                _ => {
+                    let node = sat.node_at(t);
+                    plane = Some((key, node));
+                    node
+                }
+            };
+            positions.push(sat.position_in(t, node, earth));
+        }
+        positions
     }
 }
 
