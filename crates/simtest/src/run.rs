@@ -21,9 +21,10 @@ use starlink_netsim::{
     Packet, Payload,
 };
 use starlink_simcore::{Bytes, DataRate, SimDuration, SimTime};
+use starlink_telemetry::storage::open_campaign_chain;
 use starlink_telemetry::{
-    CampaignConfig, CheckpointStore, Collection, FaultyDisk, IngestOptions, ResilientCampaign,
-    ScaledCampaign, SimDisk, StorageError,
+    CampaignConfig, Collection, FaultyDisk, IngestOptions, ResilientCampaign, ScaledCampaign,
+    SimDisk, StorageError,
 };
 use starlink_transport::tcp::TcpConfig;
 use starlink_transport::{CcAlgorithm, TcpReceiver, TcpSender, UdpBlaster, UdpSink};
@@ -688,21 +689,15 @@ fn run_telemetry_storage(
     let mut conservation_held = true;
     let mut recovered_in_ledger = true;
 
-    let vconfig = config.clone();
-    let voptions = options.clone();
-    let mut validate = move |blob: &[u8]| {
-        ResilientCampaign::resume(vconfig.clone(), voptions.clone(), blob).is_ok()
-    };
+    // Recovery resumes each blob it reads once and hands back the
+    // campaign it adopted.
+    let resume = |blob: &[u8]| ResilientCampaign::resume(config.clone(), options.clone(), blob);
 
     let mut disk = Some(FaultyDisk::new(Box::new(SimDisk::new()), storage.plan()));
     loop {
         let this_disk = disk.take().expect("every path re-stows the disk");
-        let (mut store, recovered) = match CheckpointStore::open(
-            this_disk,
-            storage.retain.max(1),
-            &mut validate,
-            SimTime::ZERO,
-        ) {
+        let opened = open_campaign_chain(this_disk, storage.retain.max(1), &resume, &mut |_| {});
+        let (mut store, recovered) = match opened {
             Ok(opened) => opened,
             Err(mut failure) => {
                 // A fault fired during recovery itself. Crashes need a
@@ -721,12 +716,11 @@ fn run_telemetry_storage(
             store.debug_manifest_miscount_every(opts.inject_manifest_miscount_every);
         }
 
-        let mut campaign = match &recovered {
-            Some(r) => {
+        let mut campaign = match recovered {
+            Some((r, adopted)) => {
                 recoveries += 1;
                 recovered_in_ledger &= sealed.iter().any(|blob| blob == &r.blob);
-                ResilientCampaign::resume(config.clone(), options.clone(), &r.blob)
-                    .expect("recovery validated this blob")
+                adopted.expect("every blob the swarm seals belongs to its scenario")
             }
             None => new_campaign(config, options),
         };

@@ -394,13 +394,6 @@ impl CongestionControl for Bbr {
             },
         })
     }
-
-    fn name(&self) -> &'static str {
-        match self.probe_bw {
-            ProbeBw::Cycle(_) => "BBR",
-            ProbeBw::Bounded(_) => "BBR2",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -438,7 +431,7 @@ mod tests {
             cc.on_ack(&ack(t, 80, 100, 10_000, mss));
             t += 500;
         }
-        assert_eq!(cc.state, State::ProbeRtt, "{}", cc.name());
+        assert_eq!(cc.state, State::ProbeRtt, "{:?}", cc.probe_bw);
         t
     }
 
@@ -454,8 +447,8 @@ mod tests {
             }
             assert!(
                 cc.full_bw_reached,
-                "{}: pipe should be declared full",
-                cc.name()
+                "{:?}: pipe should be declared full",
+                cc.probe_bw
             );
             assert!(matches!(cc.state, State::Drain | State::ProbeBw));
         }
@@ -507,11 +500,11 @@ mod tests {
             assert_eq!(cc.cwnd(), 4 * mss);
             // Exits once in-flight drained and the dwell elapsed.
             cc.on_ack(&ack(t + 300, 50, 100, 2 * mss, mss));
-            assert_ne!(cc.state, State::ProbeRtt, "{}", cc.name());
+            assert_ne!(cc.state, State::ProbeRtt, "{:?}", cc.probe_bw);
             // The stamp was refreshed on exit: the very next ACK must not
             // bounce straight back into ProbeRTT.
             cc.on_ack(&ack(t + 400, 80, 100, 10_000, mss));
-            assert_ne!(cc.state, State::ProbeRtt, "{}", cc.name());
+            assert_ne!(cc.state, State::ProbeRtt, "{:?}", cc.probe_bw);
         }
     }
 
@@ -560,7 +553,7 @@ mod tests {
             // ACK (still > 10 s after the last floor sample) would bounce the
             // connection straight back into ProbeRTT's 4-MSS clamp.
             cc.on_ack(&ack(t + 50, 80, 100, 10_000, mss));
-            assert_ne!(cc.state, State::ProbeRtt, "{}", cc.name());
+            assert_ne!(cc.state, State::ProbeRtt, "{:?}", cc.probe_bw);
             assert!(cc.cwnd() > 4 * mss || cc.conservation_cwnd.is_some());
         }
     }

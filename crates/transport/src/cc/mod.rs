@@ -12,18 +12,21 @@
 //! BBRv2 keeps the model-based core but bounds it with explicit inflight
 //! limits and a loss-rate ceiling, trading a little of BBRv1's
 //! loss-resilience for fairness against loss-based flows at a shared
-//! bottleneck. Both versions are one `bbr::Bbr`: the path model, round
-//! clock, Startup/Drain, ProbeRTT dwell and RTO conservation exist once,
-//! and only the ProbeBW policy differs.
+//! bottleneck.
+//!
+//! The six run on two cores, each written once: **model-based**
+//! `bbr::Bbr` (BBR v1/v2 share the path model, round clock, Startup/Drain,
+//! ProbeRTT dwell and RTO conservation; only ProbeBW differs) and
+//! **window-based** `window::WindowCc` (Reno/CUBIC/Veno/Vegas share the
+//! clamped slow start, once-per-window count, floored β-cut, RTO collapse
+//! and backlog estimate; each algorithm is a policy holding only its own
+//! state). `CcAlgorithm::label` is the one name table.
 //!
 //! All window arithmetic is in **bytes** (MSS-granular internally where an
 //! algorithm's published form counts segments).
 
 mod bbr;
-mod cubic;
-mod reno;
-mod vegas;
-mod veno;
+mod window;
 
 use starlink_obsv::CcPhase;
 use starlink_simcore::{DataRate, SimDuration, SimTime};
@@ -75,9 +78,11 @@ pub trait CongestionControl {
     fn ssthresh(&self) -> Option<u64> {
         None
     }
-    /// Pacing rate, for algorithms that pace (BBR); window-only
-    /// algorithms return `None` and rely on ACK clocking.
-    fn pacing_rate(&self) -> Option<DataRate>;
+    /// Pacing rate, for algorithms that pace (BBR). Default: `None` —
+    /// window-only algorithms rely on ACK clocking.
+    fn pacing_rate(&self) -> Option<DataRate> {
+        None
+    }
     /// The model-based probing phase, for algorithms with an explicit
     /// probe state machine (BBR, BBRv2); window-only algorithms return
     /// `None`. Transitions surface as `cc_phase` trace events.
@@ -89,8 +94,6 @@ pub trait CongestionControl {
     /// swarm's fairness oracle exists to catch. Default: nothing — most
     /// algorithms have no ceiling to ignore.
     fn debug_ignore_loss_ceiling(&mut self) {}
-    /// Algorithm name as the paper's Fig. 8 axis labels it.
-    fn name(&self) -> &'static str;
 }
 
 /// The five algorithms available on the paper's Raspberry Pi image, plus
@@ -151,10 +154,10 @@ impl CcAlgorithm {
         match self {
             CcAlgorithm::Bbr => Box::new(bbr::Bbr::v1(mss)),
             CcAlgorithm::Bbr2 => Box::new(bbr::Bbr::v2(mss)),
-            CcAlgorithm::Cubic => Box::new(cubic::Cubic::new(mss)),
-            CcAlgorithm::Reno => Box::new(reno::Reno::new(mss)),
-            CcAlgorithm::Veno => Box::new(veno::Veno::new(mss)),
-            CcAlgorithm::Vegas => Box::new(vegas::Vegas::new(mss)),
+            CcAlgorithm::Cubic => Box::new(window::WindowCc::cubic(mss)),
+            CcAlgorithm::Reno => Box::new(window::WindowCc::reno(mss)),
+            CcAlgorithm::Veno => Box::new(window::WindowCc::veno(mss)),
+            CcAlgorithm::Vegas => Box::new(window::WindowCc::vegas(mss)),
         }
     }
 }
@@ -175,9 +178,14 @@ mod tests {
 
     #[test]
     fn all_build_and_report_names() {
+        // `label` is the one name table: every algorithm builds, and the
+        // labels read as the Fig. 8 axis.
         let labels: Vec<&str> = CcAlgorithm::ALL
             .iter()
-            .map(|a| a.build(1_460).name())
+            .map(|a| {
+                a.build(1_460);
+                a.label()
+            })
             .collect();
         assert_eq!(
             labels,
@@ -194,7 +202,7 @@ mod tests {
     fn initial_windows_are_rfc6928() {
         for algo in CcAlgorithm::ALL {
             let cc = algo.build(1_460);
-            assert_eq!(cc.cwnd(), 10 * 1_460, "{}", cc.name());
+            assert_eq!(cc.cwnd(), 10 * 1_460, "{}", algo.label());
         }
     }
 
@@ -209,7 +217,7 @@ mod tests {
                 cc.pacing_rate().is_some(),
                 algo.paces(),
                 "{} disagrees with paces()",
-                cc.name()
+                algo.label()
             );
         }
     }
@@ -224,8 +232,381 @@ mod tests {
                 cc.probe_phase().is_some(),
                 algo.paces(),
                 "{} probe phase",
-                cc.name()
+                algo.label()
             );
+        }
+    }
+}
+
+// Unit tests of the window policies, one module per algorithm
+// (`cc::reno::tests`, …) so each test keeps a stable name.
+#[cfg(test)]
+mod reno {
+    mod tests {
+        use crate::cc::window::WindowCc;
+        use crate::cc::{AckSample, CongestionControl};
+        use starlink_simcore::{SimDuration, SimTime};
+
+        fn ack(acked: u64, mss: u64) -> AckSample {
+            AckSample {
+                now: SimTime::ZERO,
+                acked_bytes: acked,
+                rtt: Some(SimDuration::from_millis(50)),
+                in_flight: 0,
+                lost_bytes: 0,
+                mss,
+                delivery_rate: None,
+            }
+        }
+
+        #[test]
+        fn slow_start_doubles_per_window() {
+            let mss = 1_000;
+            let mut cc = WindowCc::reno(mss);
+            let w0 = cc.cwnd();
+            // ACK an entire window's worth of data.
+            cc.on_ack(&ack(w0, mss));
+            assert_eq!(cc.cwnd(), 2 * w0);
+            assert!(cc.in_slow_start());
+        }
+
+        #[test]
+        fn congestion_avoidance_adds_one_mss_per_window() {
+            let mss = 1_000;
+            let mut cc = WindowCc::reno(mss);
+            cc.on_loss_event(SimTime::ZERO); // leaves slow start at 5 segs
+            let w = cc.cwnd();
+            assert!(!cc.in_slow_start());
+            // ACK one full window in pieces: +1 MSS total.
+            for _ in 0..5 {
+                cc.on_ack(&ack(w / 5, mss));
+            }
+            assert_eq!(cc.cwnd(), w + mss);
+        }
+
+        #[test]
+        fn loss_halves_and_rto_collapses() {
+            let mss = 1_000;
+            let mut cc = WindowCc::reno(mss);
+            cc.on_ack(&ack(40_000, mss)); // grow in slow start
+            let w = cc.cwnd();
+            cc.on_loss_event(SimTime::ZERO);
+            assert_eq!(cc.cwnd(), w / 2);
+            cc.on_rto(SimTime::ZERO);
+            assert_eq!(cc.cwnd(), mss);
+        }
+
+        #[test]
+        fn floors_at_two_segments() {
+            let mss = 1_000;
+            let mut cc = WindowCc::reno(mss);
+            for _ in 0..20 {
+                cc.on_loss_event(SimTime::ZERO);
+            }
+            assert_eq!(cc.cwnd(), 2 * mss);
+        }
+    }
+}
+
+#[cfg(test)]
+mod cubic {
+    mod tests {
+        use crate::cc::window::WindowCc;
+        use crate::cc::{AckSample, CongestionControl};
+        use starlink_simcore::{SimDuration, SimTime};
+
+        fn ack_at(now: SimTime, acked: u64, mss: u64) -> AckSample {
+            AckSample {
+                now,
+                acked_bytes: acked,
+                rtt: Some(SimDuration::from_millis(50)),
+                in_flight: 0,
+                lost_bytes: 0,
+                mss,
+                delivery_rate: None,
+            }
+        }
+
+        #[test]
+        fn beta_is_point_seven() {
+            let mss = 1_000;
+            let mut cc = WindowCc::cubic(mss);
+            cc.on_ack(&ack_at(SimTime::ZERO, 100_000, mss));
+            let w = cc.cwnd();
+            cc.on_loss_event(SimTime::ZERO);
+            let ratio = cc.cwnd() as f64 / w as f64;
+            assert!((ratio - 0.7).abs() < 0.01, "{ratio}");
+        }
+
+        #[test]
+        fn grows_back_toward_w_max_after_loss() {
+            let mss = 1_000;
+            let mut cc = WindowCc::cubic(mss);
+            // Grow to ~100 segments in slow start, then lose.
+            cc.on_ack(&ack_at(SimTime::ZERO, 90_000, mss));
+            let w_before_loss = cc.cwnd();
+            cc.on_loss_event(SimTime::from_millis(100));
+            // Feed ACKs over simulated seconds: the cubic must re-approach
+            // w_max.
+            let mut t = SimTime::from_millis(200);
+            for _ in 0..400 {
+                cc.on_ack(&ack_at(t, 10_000, mss));
+                t += SimDuration::from_millis(50);
+            }
+            assert!(
+                cc.cwnd() as f64 >= 0.9 * w_before_loss as f64,
+                "cwnd {} should re-approach w_max {}",
+                cc.cwnd(),
+                w_before_loss
+            );
+        }
+
+        #[test]
+        fn concave_then_convex_growth() {
+            let mss = 1_000;
+            let mut cc = WindowCc::cubic(mss);
+            cc.on_ack(&ack_at(SimTime::ZERO, 90_000, mss));
+            cc.on_loss_event(SimTime::from_millis(100));
+            // Sample growth increments at fixed ack cadence: early increments
+            // (approaching w_max) should shrink, later ones (past w_max) grow.
+            let mut t = SimTime::from_millis(200);
+            let mut windows = Vec::new();
+            for _ in 0..600 {
+                cc.on_ack(&ack_at(t, 5_000, mss));
+                windows.push(cc.cwnd());
+                t += SimDuration::from_millis(20);
+            }
+            let early_growth = windows[50] as i64 - windows[0] as i64;
+            let mid_growth = windows[300] as i64 - windows[250] as i64;
+            let late_growth = *windows.last().unwrap() as i64 - windows[550] as i64;
+            assert!(early_growth > 0);
+            // Plateau near w_max: mid growth smaller than early.
+            assert!(
+                mid_growth <= early_growth,
+                "mid {mid_growth} vs early {early_growth}"
+            );
+            // Convex probe beyond: late growth picks up again.
+            assert!(
+                late_growth >= mid_growth,
+                "late {late_growth} vs mid {mid_growth}"
+            );
+        }
+
+        #[test]
+        fn rto_collapses_to_one_segment() {
+            let mss = 1_000;
+            let mut cc = WindowCc::cubic(mss);
+            cc.on_ack(&ack_at(SimTime::ZERO, 50_000, mss));
+            cc.on_rto(SimTime::from_millis(10));
+            assert_eq!(cc.cwnd(), mss);
+        }
+    }
+}
+
+#[cfg(test)]
+mod veno {
+    mod tests {
+        use crate::cc::window::WindowCc;
+        use crate::cc::{AckSample, CongestionControl};
+        use starlink_simcore::{SimDuration, SimTime};
+
+        fn ack(acked: u64, rtt_ms: u64, mss: u64) -> AckSample {
+            AckSample {
+                now: SimTime::ZERO,
+                acked_bytes: acked,
+                rtt: Some(SimDuration::from_millis(rtt_ms)),
+                in_flight: 0,
+                lost_bytes: 0,
+                mss,
+                delivery_rate: None,
+            }
+        }
+
+        #[test]
+        fn random_loss_cuts_one_fifth() {
+            let mss = 1_000;
+            let mut cc = WindowCc::veno(mss);
+            // RTT equals base RTT: backlog ~ 0 => random-loss regime.
+            cc.on_ack(&ack(50_000, 50, mss));
+            let w = cc.cwnd();
+            cc.on_loss_event(SimTime::ZERO);
+            let ratio = cc.cwnd() as f64 / w as f64;
+            assert!((ratio - 0.8).abs() < 0.01, "{ratio}");
+        }
+
+        #[test]
+        fn congestive_loss_halves() {
+            let mss = 1_000;
+            let mut cc = WindowCc::veno(mss);
+            cc.on_ack(&ack(50_000, 50, mss)); // base 50
+            cc.on_ack(&ack(1_000, 300, mss)); // inflated: large backlog
+            let w = cc.cwnd();
+            cc.on_loss_event(SimTime::ZERO);
+            let ratio = cc.cwnd() as f64 / w as f64;
+            assert!((ratio - 0.5).abs() < 0.01, "{ratio}");
+        }
+
+        #[test]
+        fn veno_outruns_reno_under_random_loss() {
+            // Identical loss pattern, low-queue path: Veno keeps more window.
+            let mss = 1_000;
+            let mut veno = WindowCc::veno(mss);
+            let mut reno = WindowCc::reno(mss);
+            let grow = ack(50_000, 50, mss);
+            veno.on_ack(&grow);
+            reno.on_ack(&AckSample { ..grow });
+            for _ in 0..5 {
+                veno.on_loss_event(SimTime::ZERO);
+                reno.on_loss_event(SimTime::ZERO);
+            }
+            assert!(
+                veno.cwnd() > reno.cwnd(),
+                "veno {} vs reno {}",
+                veno.cwnd(),
+                reno.cwnd()
+            );
+        }
+
+        #[test]
+        fn backlog_estimate_none_without_samples() {
+            let cc = WindowCc::veno(1_000);
+            assert!(cc.backlog_estimate().is_none());
+        }
+    }
+}
+
+#[cfg(test)]
+mod vegas {
+    mod tests {
+        use crate::cc::window::WindowCc;
+        use crate::cc::{AckSample, CongestionControl};
+        use starlink_simcore::{SimDuration, SimTime};
+
+        fn ack(now_ms: u64, acked: u64, rtt_ms: u64, mss: u64) -> AckSample {
+            AckSample {
+                now: SimTime::from_millis(now_ms),
+                acked_bytes: acked,
+                rtt: Some(SimDuration::from_millis(rtt_ms)),
+                in_flight: 0,
+                lost_bytes: 0,
+                mss,
+                delivery_rate: None,
+            }
+        }
+
+        #[test]
+        fn grows_when_path_is_empty() {
+            let mss = 1_000;
+            let mut cc = WindowCc::vegas(mss);
+            cc.on_loss_event(SimTime::ZERO); // exit slow start
+            let w = cc.cwnd();
+            // RTT equals base RTT: no queue, diff = 0 < alpha, +1 MSS per round.
+            let mut t = 0;
+            for _ in 0..5 {
+                cc.on_ack(&ack(t, mss, 50, mss));
+                t += 60;
+            }
+            assert!(cc.cwnd() > w, "{} vs {w}", cc.cwnd());
+        }
+
+        #[test]
+        fn backs_off_when_rtt_inflates() {
+            let mss = 1_000;
+            let mut cc = WindowCc::vegas(mss);
+            // Establish base RTT at 50 ms.
+            cc.on_ack(&ack(0, mss, 50, mss));
+            cc.on_loss_event(SimTime::ZERO);
+            let w = cc.cwnd();
+            // RTTs inflate to 250 ms: diff = 5.5 * (200/250) = 4.4 > beta.
+            let mut t = 100;
+            for _ in 0..5 {
+                cc.on_ack(&ack(t, mss, 250, mss));
+                t += 300;
+            }
+            assert!(cc.cwnd() < w, "{} vs {w}", cc.cwnd());
+        }
+
+        #[test]
+        fn holds_inside_the_band() {
+            let mss = 1_000;
+            let mut cc = WindowCc::vegas(mss);
+            cc.on_ack(&ack(0, mss, 50, mss));
+            cc.on_loss_event(SimTime::ZERO);
+            let w = cc.cwnd(); // 5 segments
+                               // Pick an RTT putting diff between alpha and beta:
+                               // diff = 5 * (rtt-50)/rtt in [2,4] => rtt in [83.3, 250].
+            let mut t = 100;
+            for _ in 0..5 {
+                cc.on_ack(&ack(t, mss, 100, mss));
+                t += 150;
+            }
+            assert_eq!(cc.cwnd(), w);
+        }
+
+        #[test]
+        fn queue_estimate_matches_formula() {
+            let mss = 1_000;
+            let mut cc = WindowCc::vegas(mss);
+            cc.on_ack(&ack(0, mss, 50, mss));
+            cc.on_ack(&ack(10, mss, 100, mss));
+            // After the two acks base=50, round_min<=100. cwnd = 12 segments.
+            let diff = cc.backlog_estimate().unwrap();
+            let cwnd_seg = cc.cwnd() as f64 / mss as f64;
+            assert!(diff <= cwnd_seg);
+            assert!(diff >= 0.0);
+        }
+
+        #[test]
+        fn path_change_resamples_base_rtt() {
+            let mss = 1_000;
+            let mut cc = WindowCc::vegas(mss);
+            // Anchor base RTT at 10 ms on the pre-handover path.
+            cc.on_ack(&ack(0, mss, 10, mss));
+            cc.on_loss_event(SimTime::ZERO);
+            let w = cc.cwnd();
+            // Handover onto a path whose true propagation delay is 90 ms.
+            // Without re-sampling, diff = cwnd * 80/90 segments — far above
+            // beta on every ACK — and the window ratchets down to the floor.
+            cc.on_path_change(SimTime::from_millis(100));
+            assert_eq!(cc.base_rtt(), None, "anchor must expire on a path change");
+            let mut t = 200;
+            for _ in 0..10 {
+                cc.on_ack(&ack(t, mss, 90, mss));
+                t += 120;
+            }
+            // The 90 ms samples re-anchored base: no phantom queue, so the
+            // window grew (diff = 0 < alpha) instead of collapsing.
+            assert_eq!(cc.base_rtt(), Some(SimDuration::from_millis(90)));
+            assert!(cc.cwnd() > w, "{} vs {w}", cc.cwnd());
+        }
+
+        #[test]
+        fn stale_base_rtt_collapses_without_path_change() {
+            // The counterfactual for `path_change_resamples_base_rtt`: same
+            // handover, no hint — the stale 10 ms anchor reads the new path's
+            // propagation delay as a standing queue and Vegas backs off to
+            // its floor. This is the bug the hint exists to fix.
+            let mss = 1_000;
+            let mut cc = WindowCc::vegas(mss);
+            cc.on_ack(&ack(0, mss, 10, mss));
+            cc.on_loss_event(SimTime::ZERO);
+            let w = cc.cwnd();
+            let mut t = 200;
+            for _ in 0..10 {
+                cc.on_ack(&ack(t, mss, 90, mss));
+                t += 120;
+            }
+            assert!(cc.cwnd() < w, "{} vs {w}", cc.cwnd());
+        }
+
+        #[test]
+        fn loss_still_halves() {
+            let mss = 1_000;
+            let mut cc = WindowCc::vegas(mss);
+            cc.on_ack(&ack(0, 50_000, 50, mss));
+            let w = cc.cwnd();
+            cc.on_loss_event(SimTime::ZERO);
+            assert_eq!(cc.cwnd(), w / 2);
         }
     }
 }

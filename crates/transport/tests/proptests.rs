@@ -8,14 +8,9 @@ use starlink_simcore::{Bytes, DataRate, SimDuration, SimTime};
 use starlink_transport::tcp::{TcpConfig, TcpReceiver, TcpSender};
 use starlink_transport::CcAlgorithm;
 
+/// Every algorithm, drawn from `CcAlgorithm::ALL` so none is left out.
 fn algo_strategy() -> impl Strategy<Value = CcAlgorithm> {
-    prop_oneof![
-        Just(CcAlgorithm::Bbr),
-        Just(CcAlgorithm::Cubic),
-        Just(CcAlgorithm::Reno),
-        Just(CcAlgorithm::Veno),
-        Just(CcAlgorithm::Vegas),
-    ]
+    (0..CcAlgorithm::ALL.len()).prop_map(|i| CcAlgorithm::ALL[i])
 }
 
 proptest! {
