@@ -11,10 +11,11 @@
 //!
 //! [`compute_schedule`] samples the constellation on a fine grid, applies
 //! that policy, and reports serving intervals, handover instants and outage
-//! windows. All whole-constellation queries go through a
-//! [`SnapshotCache`]: multi-observer sweeps ([`compute_schedules`]) advance
+//! windows. All whole-constellation queries go through a snapshot cache
+//! (`SnapshotCache`): multi-observer sweeps ([`compute_schedules`]) advance
 //! every observer in lockstep over the shared time grid, so each epoch
-//! boundary is propagated **once** no matter how many users sweep it.
+//! boundary's shared state is evaluated **once** no matter how many users
+//! sweep it, and each query propagates only the satellites it could see.
 
 use crate::snapshot::SnapshotCache;
 use crate::view::Constellation;

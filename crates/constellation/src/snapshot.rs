@@ -1,29 +1,44 @@
-//! Shared per-time-step constellation position snapshots.
+//! Shared per-instant constellation state and the visibility queries on it.
 //!
-//! Every visibility query ultimately needs the ECEF position of every
-//! satellite at one instant. Before this layer existed, each
-//! `visible_from`/`best_visible` call re-propagated all satellites for
-//! each (observer, time) pair — O(users × steps × sats) with zero reuse
-//! across observers sweeping the same time grid. A [`PositionSnapshot`]
-//! propagates the whole constellation **once** per time step; a
-//! [`SnapshotCache`] shares that snapshot across every observer and query
-//! at that step.
+//! A visibility query needs the ECEF positions of the satellites an
+//! observer could see, and about 1 % of a shell is within reach of any one
+//! ground observer. A [`PositionSnapshot`] therefore holds no positions at
+//! all: it holds what every observer at one instant shares — the Earth
+//! rotation and each orbit plane's drifted node, a sine and cosine each —
+//! and a query propagates, with the one kernel
+//! ([`BatchPropagator::position_in`](starlink_tle::BatchPropagator::position_in)),
+//! only the satellites that two coarse geometric bounds cannot rule out:
 //!
-//! On top of the shared positions the snapshot applies a **coarse range
-//! prune**: a satellite whose straight-line ECEF distance to the observer
-//! exceeds the maximum slant range implied by the elevation mask (~1089 km
-//! at 25° per the paper; ~1123 km with this repo's constants, see
-//! [`starlink_geo::max_slant_range`]) cannot be above the mask, so the
-//! full look-angle trigonometry is skipped for the vast majority of the
-//! constellation. The prune is conservative — the mask is relaxed by
-//! [`PRUNE_MARGIN_DEG`] to absorb the geodetic-normal vs geocentric-radial
-//! difference, and a flat [`PRUNE_SLACK_M`] is added — so snapshot-backed
-//! queries return **byte-identical** results to the direct scan.
+//! 1. **Plane.** Every satellite of a plane stays in the plane, at a radius
+//!    between its plane's lowest `a(1 − |e|)` and highest `a(1 + |e|)`. The
+//!    angle between the observer and the plane bounds the distance to all
+//!    of them from below; a plane beyond reach is skipped whole.
+//! 2. **Phase.** Within a plane that survives, a satellite's argument of
+//!    latitude `u` is within a provable slack of its mean argument of
+//!    latitude `ω + M` (see `phase_slack`), so its angle from the
+//!    observer's in-plane direction — and with it its distance — is
+//!    bounded from below without solving Kepler's equation.
+//!
+//! Both bounds skip only satellites that are provably farther than the
+//! **range prune**'s limit, which is unchanged: a satellite whose
+//! straight-line distance to the observer exceeds the maximum slant range
+//! implied by the elevation mask (~1089 km at 25° per the paper; ~1123 km
+//! with this repo's constants, see
+//! [`starlink_geo::look::max_slant_range`]) cannot be above the mask. That
+//! prune relaxes the mask by `PRUNE_MARGIN_DEG` to absorb the
+//! geodetic-normal vs geocentric-radial difference and adds a flat
+//! `PRUNE_SLACK_M`; the coarse bounds add `COARSE_MARGIN_M` on top for
+//! rounding. Queries therefore return **byte-identical** results to the
+//! direct scan over every satellite. A `SnapshotCache` shares one
+//! snapshot across every observer and query at its instant.
 
 use crate::view::{Constellation, SatView};
-use starlink_geo::{look_angles, Ecef, EcefColumns, Geodetic, LookAngles, ObserverFrame};
+use starlink_geo::{look_angles, Ecef, Geodetic, LookAngles, ObserverFrame};
 use starlink_simcore::SimDuration;
+use starlink_tle::BatchPropagator;
 use std::cell::{Cell, RefCell};
+use std::f64::consts::TAU;
+use std::fmt;
 use std::rc::Rc;
 
 /// Degrees subtracted from the elevation mask before deriving the prune
@@ -36,61 +51,217 @@ const PRUNE_MARGIN_DEG: f64 = 0.5;
 /// Flat slack added to the prune range, metres.
 const PRUNE_SLACK_M: f64 = 10_000.0;
 
-/// All satellite ECEF positions at one instant, propagated once and shared
-/// across every observer/query at that time step.
+/// Distance added to the prune range before the plane and phase bounds
+/// test against it, metres. The bounds are exact for the mathematical
+/// orbit; the kernel's rounding moves a position by well under a
+/// millimetre, so a kilometre keeps them conservative with room to spare.
+const COARSE_MARGIN_M: f64 = 1_000.0;
+
+/// Largest eccentricity the phase bound is applied to. A plane with a
+/// bounded member beyond it gets the plane bound only.
+const PHASE_MAX_ECCENTRICITY: f64 = 0.1;
+
+/// Angle added to every phase slack, radians: covers the rounding of the
+/// mean argument of latitude and the Newton residual of Kepler's equation
+/// (see [`phase_slack`]), and is about 7 m along a 550 km orbit.
+const PHASE_MARGIN_RAD: f64 = 1e-6;
+
+/// An upper bound on how far, in radians, the kernel's argument of
+/// latitude `u = ω + ν` can be from the mean argument of latitude `ω + M`
+/// for a satellite with `|e| ≤ e_max`, or infinity when no bound is
+/// claimed.
+///
+/// `u − (ω + M) = ν − M = (ν − E) + (E − M)`, with `E` the eccentric
+/// anomaly:
+///
+/// - Kepler's equation gives `E − M = e sin E`, so `|E − M| ≤ |e|`.
+/// - With `β = e / (1 + √(1 − e²))`, the true anomaly is
+///   `ν = E + 2 arg(1 − β e^{−iE})`. The point `1 − β e^{−iE}` lies on the
+///   circle of radius `|β| < 1` about 1, whose largest argument is
+///   `asin |β|`; so `|ν − E| ≤ 2 asin |β|` (modulo 2π).
+///
+/// Both terms grow with `|e|`, so the bound at `e_max` covers every
+/// smaller eccentricity. The kernel solves Kepler's equation by Newton
+/// from `E₀ = M`, so `|E₀ − E| ≤ |e|`, and each step maps an error `ε` to
+/// at most `|e| ε² / (2(1 − |e|))` (`|f″| ≤ |e|`, `f′ ≥ 1 − |e|`). For
+/// `|e| ≤` [`PHASE_MAX_ECCENTRICITY`] that is below `0.06 ε²`: `1e-17`
+/// after four of its eight steps, far inside [`PHASE_MARGIN_RAD`]. Its
+/// `ν` is then the true anomaly of the `E` it found, and the radius
+/// `a(1 − e cos E)` stays within the plane bound whatever `E` is.
+fn phase_slack(e_max: f64) -> f64 {
+    if !(0.0..=PHASE_MAX_ECCENTRICITY).contains(&e_max) {
+        return f64::INFINITY;
+    }
+    let beta = e_max / (1.0 + (1.0 - e_max * e_max).sqrt());
+    e_max + 2.0 * beta.asin() + PHASE_MARGIN_RAD
+}
+
+/// The angle between two directions given as unreduced angles, radians:
+/// in `[0, π]`. A difference too large for the integer conversion, or a
+/// NaN, comes out negative or NaN, and neither is beyond any width.
+#[inline]
+fn angle_apart(a: f64, b: f64) -> f64 {
+    let turns = (a - b) * (1.0 / TAU);
+    let frac = (turns - turns as i64 as f64).abs();
+    frac.min(1.0 - frac) * TAU
+}
+
+/// One orbit plane as the coarse bounds see it.
 #[derive(Debug, Clone)]
-pub struct PositionSnapshot {
-    t: SimDuration,
-    positions: EcefColumns,
-    /// Largest finite geocentric radius in the snapshot, metres (bounds
-    /// the feasible slant range for the prune). A satellite whose position
-    /// is not finite is never visible, so it must not widen the bound for
-    /// the others.
+struct PlaneBound {
+    sin_i: f64,
+    cos_i: f64,
+    /// Lowest perigee radius `a(1 − |e|)` of the bounded members, metres.
+    r_lo: f64,
+    /// Highest apogee radius `a(1 + |e|)` of the bounded members, metres.
+    r_hi: f64,
+    /// The [`phase_slack`] of its bounded members, radians.
+    slack: f64,
+    /// The bounded members: `PlaneTable::members[start..end]`.
+    start: u32,
+    end: u32,
+}
+
+/// The constants the plane and phase bounds read, fixed when the
+/// constellation is built.
+#[derive(Debug, Clone)]
+pub(crate) struct PlaneTable {
+    /// Indexed by the propagator's plane.
+    planes: Vec<PlaneBound>,
+    /// Satellite indices, grouped by plane, in index order within one.
+    members: Vec<u32>,
+    /// Satellites the bounds never skip: their radius bounds are not
+    /// finite and positive (the zero-mean-motion rogue, `|e| ≥ 1`, …).
+    unbounded: Vec<u32>,
+    /// Largest finite apogee radius in the catalogue, metres: bounds the
+    /// feasible slant range for the range prune. A satellite whose radius
+    /// bound is not finite has no finite position and is never visible,
+    /// so it must not widen the bound for the others.
     max_radius_m: f64,
 }
 
-impl PositionSnapshot {
-    /// Propagates every satellite of `constellation` to `t`.
-    pub fn capture(constellation: &Constellation, t: SimDuration) -> Self {
-        let positions = constellation.positions(t);
-        // The square root is monotone, so the largest radius is the root
-        // of the largest squared radius.
-        let max_radius_m = positions
-            .iter()
-            .map(|p| p.x * p.x + p.y * p.y + p.z * p.z)
-            .filter(|r2| r2.is_finite())
-            .fold(0.0, f64::max)
-            .sqrt();
-        PositionSnapshot {
-            t,
-            positions,
+impl PlaneTable {
+    /// The table of `propagators`' planes.
+    pub(crate) fn new(propagators: &BatchPropagator) -> Self {
+        let mut planes = vec![
+            PlaneBound {
+                sin_i: 0.0,
+                cos_i: 1.0,
+                r_lo: f64::INFINITY,
+                r_hi: 0.0,
+                slack: 0.0,
+                start: 0,
+                end: 0,
+            };
+            propagators.planes()
+        ];
+        let mut e_max = vec![0.0_f64; planes.len()];
+        let mut members = Vec::with_capacity(propagators.len());
+        let mut unbounded = Vec::new();
+        let mut max_radius_m = 0.0_f64;
+        for index in 0..propagators.len() {
+            let sat = propagators.satellite(index);
+            let (lo, hi) = sat.radius_bounds_m();
+            if hi.is_finite() {
+                max_radius_m = max_radius_m.max(hi);
+            }
+            if !(lo > 0.0 && hi.is_finite()) {
+                unbounded.push(index as u32);
+                continue;
+            }
+            members.push(index as u32);
+            let p = propagators.plane_of(index);
+            let plane = &mut planes[p];
+            plane.r_lo = plane.r_lo.min(lo);
+            plane.r_hi = plane.r_hi.max(hi);
+            (plane.sin_i, plane.cos_i) = sat.inclination_sin_cos();
+            e_max[p] = e_max[p].max(sat.eccentricity().abs());
+        }
+        for (plane, e_max) in planes.iter_mut().zip(e_max) {
+            plane.slack = phase_slack(e_max);
+        }
+        // Stable, so index order holds within a plane; a catalogue that
+        // lists its planes one after another is sorted already.
+        members.sort_by_key(|&index| propagators.plane_of(index as usize));
+        for (slot, &index) in members.iter().enumerate() {
+            let plane = &mut planes[propagators.plane_of(index as usize)];
+            if plane.end == 0 {
+                plane.start = slot as u32;
+            }
+            plane.end = slot as u32 + 1;
+        }
+        PlaneTable {
+            planes,
+            members,
+            unbounded,
             max_radius_m,
         }
     }
+}
 
-    /// The instant this snapshot was propagated to.
+/// What every observer shares at one instant: the Earth rotation and each
+/// plane's drifted node. Positions are propagated per query, for the
+/// satellites the coarse bounds keep.
+#[derive(Clone)]
+pub struct PositionSnapshot<'a> {
+    constellation: &'a Constellation,
+    t: SimDuration,
+    /// `t` in seconds, the kernel's time operand.
+    t_secs: f64,
+    earth: (f64, f64),
+    /// Indexed by plane.
+    nodes: Vec<(f64, f64)>,
+}
+
+impl fmt::Debug for PositionSnapshot<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PositionSnapshot")
+            .field("t", &self.t)
+            .field("len", &self.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl<'a> PositionSnapshot<'a> {
+    /// The shared state of `constellation` at `t`.
+    pub fn capture(constellation: &'a Constellation, t: SimDuration) -> Self {
+        let t_secs = t.as_secs_f64();
+        let propagators = &constellation.propagators;
+        PositionSnapshot {
+            constellation,
+            t,
+            t_secs,
+            earth: propagators.earth_rotation(t_secs),
+            nodes: propagators.nodes_at(t_secs),
+        }
+    }
+
+    /// The instant this snapshot was taken at.
     pub fn time(&self) -> SimDuration {
         self.t
     }
 
-    /// Number of satellites in the snapshot.
+    /// Number of satellites.
     pub fn len(&self) -> usize {
-        self.positions.len()
+        self.constellation.len()
     }
 
-    /// Whether the snapshot is empty.
+    /// Whether the constellation is empty.
     pub fn is_empty(&self) -> bool {
-        self.positions.is_empty()
+        self.constellation.is_empty()
     }
 
-    /// The cached ECEF position of satellite `index`.
+    /// The ECEF position of satellite `index`, propagated on demand: the
+    /// bits of [`Constellation::position`] at this instant.
     pub fn position(&self, index: usize) -> Ecef {
-        self.positions.get(index)
+        self.constellation
+            .propagators
+            .position_in(index, self.t_secs, &self.nodes, self.earth)
     }
 
     /// The look angles from `observer` to satellite `index`.
     pub fn look(&self, index: usize, observer: Geodetic) -> LookAngles {
-        look_angles(observer, self.positions.get(index))
+        look_angles(observer, self.position(index))
     }
 
     /// Conservative squared upper bound on the observer→satellite distance
@@ -103,7 +274,8 @@ impl PositionSnapshot {
     /// `E` — so relaxing the mask only ever widens the bound.
     fn prune_range_sq_m2(&self, observer_ecef: Ecef, mask_deg: f64) -> Option<f64> {
         let r = observer_ecef.magnitude();
-        let h2 = self.max_radius_m * self.max_radius_m - r * r;
+        let max_radius_m = self.constellation.planes.max_radius_m;
+        let h2 = max_radius_m * max_radius_m - r * r;
         if h2 <= 0.0 {
             return None;
         }
@@ -112,37 +284,94 @@ impl PositionSnapshot {
         Some(d * d)
     }
 
-    /// The satellites the range prune cannot rule out for an observer at
-    /// `obs` under `mask_deg`, in index order.
-    fn candidates(&self, obs: Ecef, mask_deg: f64) -> impl Iterator<Item = (usize, Ecef)> + '_ {
-        // No bound, no prune: nothing is farther than infinity.
-        let limit = self
-            .prune_range_sq_m2(obs, mask_deg)
-            .unwrap_or(f64::INFINITY);
-        self.positions.iter().enumerate().filter(move |(_, pos)| {
+    /// Calls `visit` with the index and position of every satellite the
+    /// coarse bounds and the range prune cannot rule out for an observer
+    /// at `obs` under `mask_deg`: plane by plane, then the unbounded ones.
+    fn for_each_candidate(&self, obs: Ecef, mask_deg: f64, mut visit: impl FnMut(usize, Ecef)) {
+        let Some(limit_sq) = self.prune_range_sq_m2(obs, mask_deg) else {
+            // No bound, no prune: nothing is farther than infinity.
+            for index in 0..self.len() {
+                visit(index, self.position(index));
+            }
+            return;
+        };
+        let mut near = |index: u32| {
+            let pos = self.position(index as usize);
             let dx = pos.x - obs.x;
             let dy = pos.y - obs.y;
             let dz = pos.z - obs.z;
             // A NaN distance is not beyond the limit: it goes on to the
             // look angles, which find it above no mask.
-            let pruned = dx * dx + dy * dy + dz * dz > limit;
-            !pruned
-        })
+            let pruned = dx * dx + dy * dy + dz * dz > limit_sq;
+            if !pruned {
+                visit(index as usize, pos);
+            }
+        };
+
+        let table = &self.constellation.planes;
+        let propagators = &self.constellation.propagators;
+        // The observer in the inertial frame the planes are expressed in.
+        let (sin_t, cos_t) = self.earth;
+        let (ox, oy, oz) = (
+            cos_t * obs.x - sin_t * obs.y,
+            sin_t * obs.x + cos_t * obs.y,
+            obs.z,
+        );
+        let rho2 = obs.x * obs.x + obs.y * obs.y + obs.z * obs.z;
+        let reach = limit_sq.sqrt() + COARSE_MARGIN_M;
+        let k = rho2 - reach * reach;
+        // The orbit radius at which a given angle from the observer comes
+        // nearest to the reach, before clamping to a plane's radii.
+        let r_star = k.max(0.0).sqrt();
+        for (plane, &(sin_o, cos_o)) in table.planes.iter().zip(&self.nodes) {
+            if plane.start == plane.end {
+                continue;
+            }
+            // The observer on the plane's axes: toward the ascending node
+            // (`op`), 90° ahead of it along the motion (`oq`); a satellite
+            // at argument of latitude `u` and radius `r` is at
+            // `r (cos u, sin u)` on them, off-plane distance zero.
+            let op = ox * cos_o + oy * sin_o;
+            let oq = (oy * cos_o - ox * sin_o) * plane.cos_i + oz * plane.sin_i;
+            let in_plane = (op * op + oq * oq).sqrt();
+            // d² = ρ² + r² − 2 r · in_plane · cos(u − φ) exceeds the reach
+            // for every r in the plane's radii exactly when
+            // in_plane · cos(u − φ) < min_r (ρ² + r² − reach²) / 2r, and
+            // the minimum of r + k/r over [r_lo, r_hi] is at √k clamped.
+            let r = r_star.clamp(plane.r_lo, plane.r_hi);
+            let cutoff = (k + r * r) / (2.0 * r);
+            if in_plane < cutoff {
+                continue;
+            }
+            // The widest |u − φ| still within reach, widened by the
+            // phase slack; NaN keeps everyone.
+            let width = (cutoff / in_plane).clamp(-1.0, 1.0).acos() + plane.slack;
+            let toward = oq.atan2(op);
+            for &index in &table.members[plane.start as usize..plane.end as usize] {
+                let (at_epoch, rate) = propagators.mean_argument_of_latitude(index as usize);
+                let beyond = angle_apart(at_epoch + rate * self.t_secs, toward) > width;
+                if !beyond {
+                    near(index);
+                }
+            }
+        }
+        for &index in &table.unbounded {
+            near(index);
+        }
     }
 
     /// All satellites at or above `mask_deg` elevation for `observer`,
     /// sorted by descending elevation then ascending index — exactly the
-    /// ordering of the pre-snapshot direct scan.
+    /// ordering of the direct scan over every satellite.
     pub fn visible_from(&self, observer: Geodetic, mask_deg: f64) -> Vec<SatView> {
         let frame = ObserverFrame::new(observer);
-        let mut views: Vec<SatView> = self
-            .candidates(frame.ecef(), mask_deg)
-            .filter_map(|(index, pos)| {
-                let look = frame.look(pos);
-                look.visible_above(mask_deg)
-                    .then_some(SatView { index, look })
-            })
-            .collect();
+        let mut views = Vec::new();
+        self.for_each_candidate(frame.ecef(), mask_deg, |index, pos| {
+            let look = frame.look(pos);
+            if look.visible_above(mask_deg) {
+                views.push(SatView { index, look });
+            }
+        });
         views.sort_by(|a, b| {
             b.look
                 .elevation_deg
@@ -153,23 +382,24 @@ impl PositionSnapshot {
     }
 
     /// The highest-elevation visible satellite, if any. Ties keep the
-    /// lowest index, matching the direct scan's first-wins comparison.
+    /// lowest index, matching the direct scan's first-wins comparison
+    /// whatever order the candidates come in.
     pub fn best_visible(&self, observer: Geodetic, mask_deg: f64) -> Option<SatView> {
         let frame = ObserverFrame::new(observer);
         let mut best: Option<SatView> = None;
-        for (index, pos) in self.candidates(frame.ecef(), mask_deg) {
+        self.for_each_candidate(frame.ecef(), mask_deg, |index, pos| {
             let look = frame.look(pos);
             if !look.visible_above(mask_deg) {
-                continue;
+                return;
             }
-            let better = match &best {
-                None => true,
-                Some(b) => look.elevation_deg > b.look.elevation_deg,
-            };
+            let better = best.as_ref().is_none_or(|b| {
+                look.elevation_deg > b.look.elevation_deg
+                    || (look.elevation_deg == b.look.elevation_deg && index < b.index)
+            });
             if better {
                 best = Some(SatView { index, look });
             }
-        }
+        });
         best
     }
 }
@@ -182,11 +412,12 @@ impl PositionSnapshot {
 /// of instants over and over; the cache keeps the most recent
 /// [`SnapshotCache::CAPACITY`] of them alive so each step is propagated
 /// once regardless of how many observers query it. The bound keeps memory
-/// flat on day-scale windows (a full-shell snapshot is ~40 KB).
+/// flat on day-scale windows (a shell-1 snapshot holds 73 sine-cosine
+/// pairs, about 1 KB).
 pub(crate) struct SnapshotCache<'a> {
     constellation: &'a Constellation,
     /// Most-recently-used first.
-    entries: RefCell<Vec<(u64, Rc<PositionSnapshot>)>>,
+    entries: RefCell<Vec<(u64, Rc<PositionSnapshot<'a>>)>>,
     /// Lookups served from a live entry. Per-instance (not process-wide):
     /// concurrent caches on other threads — parallel repro workers, the
     /// test harness — never pollute each other's numbers. Mirrored into
@@ -217,7 +448,7 @@ impl<'a> SnapshotCache<'a> {
 
     /// The snapshot at `t`, propagating it on first request and sharing it
     /// on every later one.
-    pub fn at(&self, t: SimDuration) -> Rc<PositionSnapshot> {
+    pub fn at(&self, t: SimDuration) -> Rc<PositionSnapshot<'a>> {
         let key = t.as_nanos();
         let mut entries = self.entries.borrow_mut();
         if let Some(i) = entries.iter().position(|(k, _)| *k == key) {

@@ -1,6 +1,12 @@
 //! The constellation container and visibility queries.
+//!
+//! A [`Constellation`] holds the propagation kernel's columns and, fixed at
+//! build, the orbit-plane table the visibility bounds read (see
+//! [`crate::snapshot`]); its one-shot queries go through a
+//! [`PositionSnapshot`], which propagates only what the observer could see.
 
-use starlink_geo::{look_angles, Ecef, EcefColumns, Geodetic, LookAngles};
+use crate::snapshot::{PlaneTable, PositionSnapshot};
+use starlink_geo::{look_angles, Ecef, Geodetic, LookAngles};
 use starlink_simcore::SimDuration;
 use starlink_tle::{BatchPropagator, Tle};
 
@@ -19,9 +25,14 @@ pub struct SatView {
 
 /// A set of satellites that can be propagated and queried for visibility.
 pub struct Constellation {
-    names: Vec<String>,
+    /// Every satellite's name, back to back: one allocation, not one per
+    /// satellite.
+    names: String,
+    /// Where each satellite's name ends in `names`.
+    name_ends: Vec<u32>,
     catalog_numbers: Vec<u32>,
-    propagators: BatchPropagator,
+    pub(crate) propagators: BatchPropagator,
+    pub(crate) planes: PlaneTable,
 }
 
 impl Constellation {
@@ -30,10 +41,21 @@ impl Constellation {
     /// the whole constellation relative to the ground, letting scenarios
     /// pin a reproducible geometry).
     pub fn from_tles(tles: &[Tle], gmst0_rad: f64) -> Self {
+        let propagators = BatchPropagator::new(tles.iter().map(|tle| &tle.elements), gmst0_rad);
+        let mut names = String::with_capacity(tles.iter().map(|tle| tle.name.len()).sum());
+        let name_ends = tles
+            .iter()
+            .map(|tle| {
+                names.push_str(&tle.name);
+                names.len() as u32
+            })
+            .collect();
         Constellation {
-            names: tles.iter().map(|tle| tle.name.clone()).collect(),
+            names,
+            name_ends,
             catalog_numbers: tles.iter().map(|tle| tle.elements.catalog_number).collect(),
-            propagators: BatchPropagator::new(tles.iter().map(|tle| &tle.elements), gmst0_rad),
+            planes: PlaneTable::new(&propagators),
+            propagators,
         }
     }
 
@@ -54,7 +76,8 @@ impl Constellation {
 
     /// The satellite's name (e.g. `STARLINK-217`).
     pub fn name(&self, index: usize) -> &str {
-        &self.names[index]
+        let start = index.checked_sub(1).map_or(0, |i| self.name_ends[i]);
+        &self.names[start as usize..self.name_ends[index] as usize]
     }
 
     /// The satellite's NORAD catalogue number.
@@ -72,25 +95,18 @@ impl Constellation {
         self.propagators.position_at_secs(index, t_secs)
     }
 
-    /// Earth-fixed position of every satellite at `t` after epoch, in
-    /// index order: one batch propagation, not [`Constellation::len`]
-    /// calls of [`Constellation::position`] (the results are the same).
-    pub fn positions(&self, t: SimDuration) -> EcefColumns {
-        self.propagators.positions_at_secs(t.as_secs_f64())
-    }
-
-    /// Propagates every satellite to `t` as a shareable
-    /// [`PositionSnapshot`](crate::snapshot::PositionSnapshot).
-    pub fn snapshot(&self, t: SimDuration) -> crate::snapshot::PositionSnapshot {
-        crate::snapshot::PositionSnapshot::capture(self, t)
+    /// The shared state of every satellite at `t`, to query from many
+    /// observers.
+    pub fn snapshot(&self, t: SimDuration) -> PositionSnapshot<'_> {
+        PositionSnapshot::capture(self, t)
     }
 
     /// All satellites at or above `mask_deg` elevation for `observer` at
     /// `t`, sorted by descending elevation.
     ///
     /// One-shot convenience over the snapshot path; sweeps that revisit
-    /// the same instant should share a
-    /// [`SnapshotCache`](crate::snapshot::SnapshotCache) instead.
+    /// the same instant should share one [`Constellation::snapshot`]
+    /// instead.
     pub fn visible_from(&self, observer: Geodetic, t: SimDuration, mask_deg: f64) -> Vec<SatView> {
         self.snapshot(t).visible_from(observer, mask_deg)
     }

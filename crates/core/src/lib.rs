@@ -14,7 +14,7 @@
 //!   constellation (bent-pipe propagation from the serving satellite,
 //!   handover loss bursts, diurnal cell load, weather) with a path to its
 //!   closest cloud region. Used by Table 2, Figs. 6–8.
-//! * [`world::Fig5World`] — the three-access-technology comparison
+//! * `world::Fig5World` — the three-access-technology comparison
 //!   vantage in London (Starlink / broadband / cellular) tracerouting to
 //!   an N. Virginia VM. Used by Fig. 5.
 //! * [`starlink_telemetry::Campaign`] — the browser-extension deployment

@@ -6,7 +6,7 @@
 //!
 //! Design follows the smoltcp school: explicit state machines, no async
 //! runtime, no clever type tricks. A [`Network`] owns nodes and directed
-//! [`Link`]s; packets experience **loss → queueing → serialisation →
+//! links ([`LinkConfig`]); packets experience **loss → queueing → serialisation →
 //! propagation** on each link, routers decrement TTL and answer expired
 //! probes with ICMP Time-Exceeded (which is what makes traceroute work),
 //! and hosts hand packets to pluggable [`Handler`]s (the transport crate's

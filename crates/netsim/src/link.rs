@@ -11,7 +11,7 @@
 //! 4. **propagation** — the link's current one-way delay.
 //!
 //! [`LinkDynamics`] lets all three parameters vary with time; the default
-//! [`StaticDynamics`] keeps them fixed.
+//! `StaticDynamics` keeps them fixed.
 
 use crate::fault::FaultSchedule;
 use crate::wire::Packet;

@@ -27,7 +27,7 @@
 //!    each observe exactly the artefacts they ran, so `--jobs N` output
 //!    reassembled in artefact order is byte-identical to `--jobs 1`.
 //! 4. Rendering is integer-only with fixed key order (see
-//!    [`TraceEvent::write_json`] and [`MetricsRegistry::to_json`]).
+//!    `TraceEvent::write_json` and [`MetricsRegistry::to_json`]).
 //!
 //! The crate is dependency-free so every other crate — including
 //! `starlink-simcore` itself — can emit through it without cycles.

@@ -186,7 +186,7 @@ impl SimDuration {
     }
 
     /// A span of fractional milliseconds (clamping like
-    /// [`SimDuration::from_secs_f64`]).
+    /// `SimDuration::from_secs_f64`).
     pub fn from_millis_f64(millis: f64) -> Self {
         Self::from_secs_f64(millis / 1_000.0)
     }

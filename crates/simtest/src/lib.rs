@@ -3,13 +3,13 @@
 //!
 //! The pieces, in pipeline order:
 //!
-//! - [`gen`] maps a 64-bit seed to a random [`Scenario`](scenario::Scenario):
+//! - [`gen`] maps a 64-bit seed to a random [`Scenario`]:
 //!   topology shape, per-client channel profiles, workloads over every
 //!   congestion-control algorithm, a fault script reusing the
 //!   `starlink-faults` builders, an optional telemetry sub-campaign, and
 //!   an optional mixed-CC coexistence experiment ([`fairness`]).
-//! - [`run`] rebuilds and executes the scenario deterministically,
-//!   snapshotting a [`RunReport`](run::RunReport) — per-link/per-node
+//! - [`run`](mod@run) rebuilds and executes the scenario deterministically,
+//!   snapshotting a [`RunReport`] — per-link/per-node
 //!   conservation counters, the event-trace digest, TCP introspection,
 //!   telemetry coverage.
 //! - `oracles` checks cross-cutting invariants over the report; every

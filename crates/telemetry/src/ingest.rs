@@ -664,8 +664,8 @@ enum UploadOutcome {
 /// Topology conventions (fixed, so [`FaultPlan`]s can be written without
 /// a network in hand): node 0 is the collector, node `i + 1` is user
 /// `i`, link `2 i` is user `i`'s uplink and link `2 i + 1` its downlink.
-/// [`ResilientCampaign::COLLECTOR`], [`ResilientCampaign::user_node`]
-/// and [`ResilientCampaign::uplink`] encode these.
+/// `ResilientCampaign::COLLECTOR`, `ResilientCampaign::user_node` and
+/// [`ResilientCampaign::uplink`] encode these.
 ///
 /// Unlike [`Campaign::run`] (user-major, kept byte-identical to the
 /// seed corpus), this driver iterates day-major so a run can stop at any

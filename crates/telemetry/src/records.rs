@@ -197,7 +197,7 @@ impl Dataset {
 
     /// A 64-bit FNV-1a digest over the wire encoding of every record, in
     /// the dataset's current order. Two datasets with equal digests after
-    /// [`Dataset::sort_canonical`] are byte-identical.
+    /// `Dataset::sort_canonical` are byte-identical.
     pub fn digest(&self) -> u64 {
         let mut w = crate::wire::WireWriter::new();
         for r in &self.pages {

@@ -984,7 +984,7 @@ impl<D: DiskEnv> CheckpointStore<D> {
     }
 
     /// [`open`](Self::open), retried on the same disk while it fails with
-    /// anything but [`StorageError::Crashed`], [`OPEN_ATTEMPTS`] times in
+    /// anything but [`StorageError::Crashed`], `OPEN_ATTEMPTS` times in
     /// all. Injected faults are one-shot, so a shed open (ENOSPC on the
     /// initial manifest seal, say) gets through once the plan is spent; a
     /// crash needs the process restarted and comes straight back.

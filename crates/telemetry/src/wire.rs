@@ -47,7 +47,7 @@ pub(crate) const SPEEDTEST_RECORD_LEN: usize = 8 + 1 + 1 + 8 + 8 + 8;
 /// quarantine reason; [`WireError::code`] gives the stable short name.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
-    /// The first four bytes are not [`MAGIC`].
+    /// The first four bytes are not `MAGIC`.
     BadMagic {
         /// What was found instead.
         found: [u8; 4],
@@ -206,7 +206,7 @@ const fn crc_tables() -> [[u32; 256]; CRC_SLICES] {
 /// multiplication and only the last partial 16-byte block goes through
 /// the table kernel; shorter inputs, and every input on other CPUs, take
 /// the table kernel alone (slicing-by-16 over the `const`-built
-/// [`CRC_TABLES`]). Both give the same value; the bit-at-a-time
+/// `CRC_TABLES`). Both give the same value; the bit-at-a-time
 /// definition they must equal is the reference model in
 /// `tests/crc_differential.rs`.
 pub fn crc32(bytes: &[u8]) -> u32 {

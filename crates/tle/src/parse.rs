@@ -1,7 +1,7 @@
 //! TLE text parsing and emission.
 //!
 //! The format is the classic NORAD fixed-column layout documented by
-//! CelesTrak (reference [1] of the paper). Parsing is strict: wrong line
+//! CelesTrak (reference \[1\] of the paper). Parsing is strict: wrong line
 //! numbers, malformed fields and checksum mismatches are reported as
 //! [`TleError`] values, never panics — catalogue files in the wild contain
 //! plenty of damage.

@@ -17,6 +17,7 @@
 
 use crate::elements::{OrbitalElements, J2, MU_EARTH, OMEGA_EARTH, RE_EARTH};
 use starlink_geo::{Ecef, EcefColumns};
+use std::collections::HashMap;
 
 /// A satellite propagator built from one TLE's mean elements.
 ///
@@ -106,6 +107,26 @@ impl Propagator {
         self.a
     }
 
+    /// Eccentricity.
+    #[inline]
+    pub fn eccentricity(&self) -> f64 {
+        self.e
+    }
+
+    /// The radii the orbit stays between, metres: `a(1 − |e|)` and
+    /// `a(1 + |e|)`. The kernel's radius is `a(1 − e cos E)`, so every
+    /// position it returns lies between the two (up to rounding).
+    #[inline]
+    pub fn radius_bounds_m(&self) -> (f64, f64) {
+        (self.a * (1.0 - self.e.abs()), self.a * (1.0 + self.e.abs()))
+    }
+
+    /// The sine and cosine of the inclination, the bits the kernel uses.
+    #[inline]
+    pub fn inclination_sin_cos(&self) -> (f64, f64) {
+        (self.sin_i, self.cos_i)
+    }
+
     /// Earth-fixed position `t` seconds after the TLE epoch (negative `t`
     /// rewinds, useful for windowed analyses).
     pub fn position_at_secs(&self, t: f64) -> Ecef {
@@ -175,13 +196,18 @@ impl Propagator {
 }
 
 /// The propagators of a whole constellation, one column per constant, all
-/// at one Greenwich angle.
+/// at one Greenwich angle, grouped into orbit planes.
 ///
-/// [`BatchPropagator::positions_at_secs`] is how a constellation is
-/// propagated: the Earth rotation is evaluated once per call and the node
-/// rotation once per run of satellites in the same plane, instead of once
-/// per satellite. Each position is the one [`Propagator::position_at_secs`]
-/// returns for that satellite, bit for bit — both are the same kernel.
+/// A *plane* is the set of satellites that share the bits of the RAAN at
+/// epoch, its drift rate and the inclination's sine and cosine: at every
+/// instant they orbit in one plane through the Earth's centre, and their
+/// drifted node is one value. [`BatchPropagator::nodes_at`] evaluates it
+/// once per plane and [`BatchPropagator::earth_rotation`] the Earth
+/// rotation once per instant; [`BatchPropagator::position_in`] then runs
+/// the kernel for any one satellite on those shared operands, so a caller
+/// propagates exactly the subset it needs. Each position is the one
+/// [`Propagator::position_at_secs`] returns for that satellite, bit for
+/// bit — both are the same kernel on the same operands.
 #[derive(Debug, Clone)]
 pub struct BatchPropagator {
     a: Vec<f64>,
@@ -196,6 +222,10 @@ pub struct BatchPropagator {
     raan_dot: Vec<f64>,
     argp_dot: Vec<f64>,
     gmst0: f64,
+    /// The plane of each satellite.
+    plane: Vec<u32>,
+    /// The first satellite of each plane, in order of first appearance.
+    plane_first: Vec<u32>,
 }
 
 impl BatchPropagator {
@@ -220,9 +250,25 @@ impl BatchPropagator {
             raan_dot: column(),
             argp_dot: column(),
             gmst0: gmst0_rad,
+            plane: Vec::with_capacity(elements.size_hint().0),
+            plane_first: Vec::new(),
         };
+        let mut planes = HashMap::new();
+        // The previous satellite's plane: a catalogue lists a plane's
+        // satellites together, so the map is consulted once per run.
+        let mut run = None;
         for elements in elements {
             let p = Propagator::new(elements, gmst0_rad);
+            let key = [p.raan0, p.raan_dot, p.sin_i, p.cos_i].map(f64::to_bits);
+            let plane = match run {
+                Some((k, plane)) if k == key => plane,
+                _ => *planes.entry(key).or_insert_with(|| {
+                    batch.plane_first.push(batch.a.len() as u32);
+                    batch.plane_first.len() as u32 - 1
+                }),
+            };
+            run = Some((key, plane));
+            batch.plane.push(plane);
             batch.a.push(p.a);
             batch.e.push(p.e);
             batch.sqrt_1me2.push(p.sqrt_1me2);
@@ -248,9 +294,20 @@ impl BatchPropagator {
         self.a.is_empty()
     }
 
+    /// Number of planes.
+    pub fn planes(&self) -> usize {
+        self.plane_first.len()
+    }
+
+    /// The plane of satellite `index`, in `0..self.planes()`.
+    #[inline]
+    pub fn plane_of(&self, index: usize) -> usize {
+        self.plane[index] as usize
+    }
+
     /// Satellite `index` gathered back out of the columns.
     #[inline]
-    fn satellite(&self, index: usize) -> Propagator {
+    pub fn satellite(&self, index: usize) -> Propagator {
         Propagator {
             a: self.a[index],
             e: self.e[index],
@@ -267,6 +324,49 @@ impl BatchPropagator {
         }
     }
 
+    /// Satellite `index`'s mean argument of latitude at epoch and its
+    /// rate: `ω₀ + M₀`, radians, and `ω̇ + n`, rad/s. At `t` the kernel's
+    /// argument of latitude is `(ω₀ + ω̇t) + ν`, with `ν` the true anomaly
+    /// of the mean anomaly `M₀ + nt`: it leads this line by `ν − M`.
+    #[inline]
+    pub fn mean_argument_of_latitude(&self, index: usize) -> (f64, f64) {
+        (
+            self.argp0[index] + self.m0[index],
+            self.argp_dot[index] + self.n[index],
+        )
+    }
+
+    /// The sine and cosine of the Earth-rotation angle `t` seconds after
+    /// epoch: one value for every satellite.
+    pub fn earth_rotation(&self, t: f64) -> (f64, f64) {
+        earth_rotation(self.gmst0, t)
+    }
+
+    /// The sine and cosine of each plane's drifted ascending node `t`
+    /// seconds after epoch, indexed by plane.
+    pub fn nodes_at(&self, t: f64) -> Vec<(f64, f64)> {
+        self.plane_first
+            .iter()
+            .map(|&first| self.satellite(first as usize).node_at(t))
+            .collect()
+    }
+
+    /// Earth-fixed position of satellite `index`, `t` seconds after epoch,
+    /// from the shared operands at `t`: `nodes` from
+    /// [`BatchPropagator::nodes_at`] and `earth` from
+    /// [`BatchPropagator::earth_rotation`].
+    #[inline]
+    pub fn position_in(
+        &self,
+        index: usize,
+        t: f64,
+        nodes: &[(f64, f64)],
+        earth: (f64, f64),
+    ) -> Ecef {
+        self.satellite(index)
+            .position_in(t, nodes[self.plane_of(index)], earth)
+    }
+
     /// Earth-fixed position of satellite `index`, `t` seconds after epoch.
     pub fn position_at_secs(&self, index: usize, t: f64) -> Ecef {
         self.satellite(index).position_at_secs(t)
@@ -275,24 +375,11 @@ impl BatchPropagator {
     /// Earth-fixed position of every satellite `t` seconds after epoch, in
     /// index order.
     pub fn positions_at_secs(&self, t: f64) -> EcefColumns {
-        let earth = earth_rotation(self.gmst0, t);
+        let earth = self.earth_rotation(t);
+        let nodes = self.nodes_at(t);
         let mut positions = EcefColumns::with_capacity(self.len());
-        // The last node evaluated and the plane it belongs to. Only the
-        // cost depends on same-plane satellites being adjacent: a plane
-        // that comes back later is evaluated again, to the same bits.
-        let mut plane = None;
         for index in 0..self.len() {
-            let sat = self.satellite(index);
-            let key = (sat.raan0.to_bits(), sat.raan_dot.to_bits());
-            let node = match plane {
-                Some((k, node)) if k == key => node,
-                _ => {
-                    let node = sat.node_at(t);
-                    plane = Some((key, node));
-                    node
-                }
-            };
-            positions.push(sat.position_in(t, node, earth));
+            positions.push(self.position_in(index, t, &nodes, earth));
         }
         positions
     }

@@ -3,16 +3,16 @@
 //! The measurement toolbox the paper deploys on its volunteer Raspberry
 //! Pis (§3.2), re-implemented against the packet simulator:
 //!
-//! * [`traceroute`] — per-TTL probing with ICMP Time-Exceeded semantics,
+//! * [`traceroute`](mod@traceroute) — per-TTL probing with ICMP Time-Exceeded semantics,
 //!   the instrument behind Fig. 5's hop-by-hop RTT comparison;
-//! * [`mtr`] — repeated traceroute rounds with per-hop aggregation;
+//! * [`mtr`](mod@mtr) — repeated traceroute rounds with per-hop aggregation;
 //! * `maxmin` — the Chan et al. max–min queueing-delay estimator the
 //!   paper adapts for Table 2 ("taking the difference between the maximum
 //!   and minimum observed latencies … eliminates the propagation delay");
 //! * [`iperf`] — TCP and UDP throughput tests with per-interval loss
 //!   reporting (Figs. 6 and 8);
-//! * [`ping`] — fixed-interval echo RTTs (the Dishy's "pop ping" stat);
-//! * [`speedtest`] — the Libretest-style DL/UL pair run from the nodes;
+//! * [`ping`](mod@ping) — fixed-interval echo RTTs (the Dishy's "pop ping" stat);
+//! * [`speedtest`](mod@speedtest) — the Libretest-style DL/UL pair run from the nodes;
 //! * [`cron`] — the 5-minute / 30-minute schedules the RPis ran on.
 //!
 //! Every tool is hardened for hostile conditions: probing tools take a
