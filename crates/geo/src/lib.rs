@@ -28,5 +28,5 @@ pub mod coords;
 pub mod look;
 
 pub use cities::{City, CityInfo};
-pub use coords::{haversine_distance, Ecef, EcefColumns, Geodetic};
+pub use coords::{haversine_distance, Ecef, Geodetic};
 pub use look::{look_angles, LookAngles, ObserverFrame};

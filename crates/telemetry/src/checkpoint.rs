@@ -18,15 +18,17 @@
 //!   [`CheckpointError::Mismatch`], because mixing states from two
 //!   scenarios would silently fabricate a dataset no single scenario
 //!   produced;
-//! * **corruption safety** — a truncated or bit-flipped checkpoint
-//!   fails its CRC and is refused, like any other damaged upload in
-//!   this crate.
+//! * **corruption safety** — a damaged checkpoint is refused, like any
+//!   other damaged upload in this crate: the blob opens through the one
+//!   sealed envelope of [`crate::wire`] (magic, version, the kind byte,
+//!   then the CRC over the whole blob), so a truncated or bit-flipped
+//!   blob fails its CRC unless its preamble already failed.
 
 use crate::ingest::{Collector, IngestOptions, QuarantinedBatch, ResilientCampaign, SpooledBatch};
 use crate::pipeline::CampaignConfig;
 use crate::server::AdmissionConfig;
 use crate::wire::{
-    crc32, decode_page, decode_speedtest, encode_page, encode_speedtest, WireError, WireReader,
+    decode_page, decode_speedtest, encode_page, encode_speedtest, WireError, WireReader,
     WireWriter, PAGE_RECORD_LEN, SPEEDTEST_RECORD_LEN,
 };
 use starlink_simcore::{SimRng, SimTime};
@@ -106,21 +108,12 @@ fn get_opt_u64(r: &mut WireReader<'_>) -> Result<Option<u64>, WireError> {
 }
 
 /// Maps a decoded reason-code string back to the `'static` table the
-/// quarantine API exposes. Codes outside the known set mean a corrupted
-/// (yet CRC-colliding) or future-format checkpoint.
+/// quarantine API exposes, [`WireError::code`]'s own. Codes outside it
+/// mean a corrupted (yet CRC-colliding) or future-format checkpoint.
 fn intern_reason(code: &str) -> Result<&'static str, WireError> {
-    const KNOWN: [&str; 6] = [
-        "bad-magic",
-        "unsupported-version",
-        "truncated",
-        "trailing-bytes",
-        "checksum-mismatch",
-        "bad-field",
-    ];
-    KNOWN
-        .iter()
-        .find(|&&k| k == code)
-        .copied()
+    WireError::CODES
+        .into_iter()
+        .find(|&k| k == code)
         .ok_or(WireError::BadField {
             field: "reason-code",
         })
@@ -233,9 +226,11 @@ fn get_collector(r: &mut WireReader<'_>) -> Result<Collector, CheckpointError> {
 /// magic/version/kind preamble, with room for `body` more bytes and the
 /// CRC [`WireWriter::seal`] appends.
 pub(crate) fn begin_blob(kind: u8, body: usize) -> WireWriter {
-    let mut w = WireWriter::with_capacity(PREAMBLE_LEN + body + 4);
-    w.bytes(&CHECKPOINT_MAGIC);
-    w.u16(CHECKPOINT_VERSION);
+    let mut w = WireWriter::sealed(
+        CHECKPOINT_MAGIC,
+        CHECKPOINT_VERSION,
+        PREAMBLE_LEN + body + 4,
+    );
     w.u8(kind);
     w
 }
@@ -258,45 +253,20 @@ pub(crate) fn close_blob(r: WireReader<'_>) -> Result<(), CheckpointError> {
     }
 }
 
-/// Verifies the trailing CRC and the magic/version/kind preamble, then
-/// returns a reader positioned at the blob body.
+/// Opens a blob of `kind` through the sealed envelope — magic, version,
+/// the kind byte, then the CRC — and returns a reader at the blob body
+/// that ends where the CRC begins.
 pub(crate) fn open_blob<'a>(bytes: &'a [u8], kind: u8) -> Result<WireReader<'a>, CheckpointError> {
-    if bytes.len() < 4 {
-        return Err(WireError::Truncated {
-            needed: 4,
-            got: bytes.len(),
-        }
-        .into());
-    }
-    let body = &bytes[..bytes.len() - 4];
-    let stated = u32::from_le_bytes([
-        bytes[bytes.len() - 4],
-        bytes[bytes.len() - 3],
-        bytes[bytes.len() - 2],
-        bytes[bytes.len() - 1],
-    ]);
-    let computed = crc32(body);
-    if stated != computed {
-        return Err(WireError::ChecksumMismatch { computed, stated }.into());
-    }
-
-    let mut r = WireReader::new(body);
-    let magic = r.bytes(4)?;
-    if magic != CHECKPOINT_MAGIC {
-        let mut found = [0u8; 4];
-        found.copy_from_slice(magic);
-        return Err(WireError::BadMagic { found }.into());
-    }
-    let version = r.u16()?;
-    if version != CHECKPOINT_VERSION {
-        return Err(WireError::UnsupportedVersion { got: version }.into());
-    }
+    let mut r = WireReader::open(bytes, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)?;
     if r.u8()? != kind {
         return Err(WireError::BadField {
             field: "checkpoint-kind",
         }
         .into());
     }
+    // A blob states no length: it runs to the end of the buffer, which
+    // must hold at least the preamble and the CRC.
+    r.check_seal(bytes.len().max(PREAMBLE_LEN + 4))?;
     Ok(r)
 }
 
@@ -308,8 +278,8 @@ pub fn encode_server_checkpoint(collector: &Collector) -> Vec<u8> {
     w.seal()
 }
 
-/// Rebuilds a collector from a server checkpoint blob, verifying the
-/// CRC first like every other artefact in this crate.
+/// Rebuilds a collector from a server checkpoint blob, verifying its
+/// envelope first like every other artefact in this crate.
 pub fn decode_server_checkpoint(bytes: &[u8]) -> Result<Collector, CheckpointError> {
     let mut r = open_blob(bytes, KIND_SERVER)?;
     let collector = get_collector(&mut r)?;
@@ -485,6 +455,7 @@ impl ResilientCampaign {
 mod tests {
     use super::*;
     use crate::records::Dataset;
+    use crate::wire::crc32;
 
     fn config(seed: u64) -> CampaignConfig {
         CampaignConfig {
@@ -713,6 +684,24 @@ mod tests {
             encode_server_checkpoint(&Collector::new()).len(),
             PREAMBLE_LEN + 4 + 8 + 4 + 4 + 4 + 4
         );
+    }
+
+    #[test]
+    fn every_wire_error_code_interns() {
+        for err in [
+            WireError::BadMagic { found: [0; 4] },
+            WireError::UnsupportedVersion { got: 9 },
+            WireError::Truncated { needed: 1, got: 0 },
+            WireError::TrailingBytes { extra: 1 },
+            WireError::ChecksumMismatch {
+                computed: 0,
+                stated: 1,
+            },
+            WireError::BadField { field: "x" },
+        ] {
+            assert_eq!(intern_reason(err.code()), Ok(err.code()), "{err}");
+        }
+        assert!(intern_reason("no-such-code").is_err());
     }
 
     #[test]

@@ -22,10 +22,12 @@
 //! | 5    | DRAIN  | empty                                     |
 //!
 //! All integers are little-endian; the trailing CRC-32 covers everything
-//! before it. Decoding never panics and never over-reads: a hostile
-//! `paylen` is bounds-checked before any allocation, and every malformed
-//! input maps to a typed [`WireError`] — the same quarantine vocabulary
-//! the batch decoder speaks.
+//! before it. The envelope is the one [`crate::wire`] defines for every
+//! sealed format, trust order included; the header is read once per
+//! frame. Decoding never panics and never over-reads: a hostile `paylen`
+//! is bounds-checked before any allocation, and every malformed input
+//! maps to a typed [`WireError`] — the same quarantine vocabulary the
+//! batch decoder speaks.
 //!
 //! Two checksums guard a BATCH, and neither stands in for the other.
 //! The frame CRC, checked here by [`parse_frame`], guards the hop: bytes
@@ -41,7 +43,7 @@
 //! trace-digest tag, so the admission log and the protocol can never
 //! disagree about what a reject meant.
 
-use crate::wire::{crc32, WireError, WireReader, WireWriter};
+use crate::wire::{WireError, WireReader, WireWriter};
 pub use starlink_obsv::ShedReason;
 
 /// The four magic bytes every SLCS frame starts with.
@@ -216,9 +218,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
         Frame::Reject { seq, .. } => (*seq, REJECT_PAYLOAD_LEN),
         Frame::Drain { .. } => (0, 0),
     };
-    let mut w = WireWriter::with_capacity(SLCS_HEADER_LEN + paylen + 4);
-    w.bytes(&SLCS_MAGIC);
-    w.u16(SLCS_VERSION);
+    let mut w = WireWriter::sealed(SLCS_MAGIC, SLCS_VERSION, SLCS_HEADER_LEN + paylen + 4);
     w.u8(frame.type_code());
     w.u64(frame.session());
     w.u64(seq);
@@ -240,6 +240,37 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     w.seal()
 }
 
+/// A frame header past its magic and version.
+struct FrameHeader {
+    frame_type: u8,
+    session: u64,
+    seq: u64,
+    paylen: usize,
+}
+
+impl FrameHeader {
+    /// The whole frame's encoded length, CRC included.
+    fn frame_len(&self) -> usize {
+        SLCS_HEADER_LEN + self.paylen + 4
+    }
+}
+
+/// Opens a frame's envelope and reads its header, refusing a payload
+/// length beyond [`SLCS_MAX_PAYLOAD`]; the reader is left at the payload.
+fn open_frame(bytes: &[u8]) -> Result<(WireReader<'_>, FrameHeader), WireError> {
+    let mut r = WireReader::open(bytes, SLCS_MAGIC, SLCS_VERSION)?;
+    let header = FrameHeader {
+        frame_type: r.u8()?,
+        session: r.u64()?,
+        seq: r.u64()?,
+        paylen: r.u32()? as usize,
+    };
+    if header.paylen > SLCS_MAX_PAYLOAD {
+        return Err(WireError::BadField { field: "paylen" });
+    }
+    Ok((r, header))
+}
+
 /// Reads the total encoded length of the frame starting at `bytes[0]`,
 /// validating only magic, version, and the declared payload length.
 ///
@@ -248,25 +279,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 /// handing the whole frame to [`decode_frame`]. Hostile lengths are
 /// refused here, before any buffer is sized from them.
 pub fn peek_frame_len(bytes: &[u8]) -> Result<usize, WireError> {
-    let mut r = WireReader::new(bytes);
-    let magic = r.bytes(4)?;
-    if magic != SLCS_MAGIC {
-        let mut found = [0u8; 4];
-        found.copy_from_slice(magic);
-        return Err(WireError::BadMagic { found });
-    }
-    let version = r.u16()?;
-    if version != SLCS_VERSION {
-        return Err(WireError::UnsupportedVersion { got: version });
-    }
-    let _type = r.u8()?;
-    let _session = r.u64()?;
-    let _seq = r.u64()?;
-    let paylen = r.u32()? as usize;
-    if paylen > SLCS_MAX_PAYLOAD {
-        return Err(WireError::BadField { field: "paylen" });
-    }
-    Ok(SLCS_HEADER_LEN + paylen + 4)
+    open_frame(bytes).map(|(_, header)| header.frame_len())
 }
 
 /// Reads one frame off a byte stream: the fixed header first, then
@@ -295,40 +308,19 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Frame, WireError> {
 /// payload still borrowed from `bytes` — the whole of the frame's
 /// validation, and no copy.
 ///
-/// Checks run in trust order: magic, version, declared length (truncation
-/// and trailing garbage), checksum, then frame type and payload domains.
-/// Never panics, never reads past `bytes`.
+/// Checks run in the sealed-format trust order: magic, version, header
+/// (the payload cap), declared length (truncation and trailing garbage),
+/// checksum, then frame type and payload domains. Never panics, never
+/// reads past `bytes`.
 pub fn parse_frame(bytes: &[u8]) -> Result<Frame<&[u8]>, WireError> {
-    let total = peek_frame_len(bytes)?;
-    if bytes.len() < total {
-        return Err(WireError::Truncated {
-            needed: total,
-            got: bytes.len(),
-        });
-    }
-    if bytes.len() > total {
-        return Err(WireError::TrailingBytes {
-            extra: bytes.len() - total,
-        });
-    }
-    let stated = u32::from_le_bytes([
-        bytes[total - 4],
-        bytes[total - 3],
-        bytes[total - 2],
-        bytes[total - 1],
-    ]);
-    let computed = crc32(&bytes[..total - 4]);
-    if stated != computed {
-        return Err(WireError::ChecksumMismatch { computed, stated });
-    }
-
-    let mut r = WireReader::new(&bytes[..total - 4]);
-    let _magic = r.bytes(4)?;
-    let _version = r.u16()?;
-    let frame_type = r.u8()?;
-    let session = r.u64()?;
-    let seq = r.u64()?;
-    let paylen = r.u32()? as usize;
+    let (mut r, header) = open_frame(bytes)?;
+    r.check_seal(header.frame_len())?;
+    let FrameHeader {
+        frame_type,
+        session,
+        seq,
+        paylen,
+    } = header;
     let payload = r.bytes(paylen)?;
 
     match frame_type {

@@ -28,7 +28,7 @@
 //! undercount so the swarm can prove the oracle catches it.
 
 use crate::checkpoint::CheckpointError;
-use crate::wire::{crc32, WireError, WireReader, WireWriter};
+use crate::wire::{WireError, WireReader, WireWriter};
 use starlink_obsv::{counter_add, emit, StorageShedReason, TraceEvent};
 use starlink_simcore::{SimRng, SimTime};
 use std::collections::BTreeSet;
@@ -623,7 +623,7 @@ impl DiskEnv for FaultyDisk {
 
 /// The CRC-sealed index at the head of a checkpoint directory: which
 /// generation is the newest *verified* one (0 = none yet), plus the
-/// conservation counters. 37 bytes on disk:
+/// conservation counters. 42 bytes on disk:
 ///
 /// ```text
 /// +----------+---------+--------+---------+--------+-------------+-------+
@@ -646,9 +646,7 @@ pub struct Manifest {
 
 /// Encodes a manifest with its trailing CRC-32.
 pub fn encode_manifest(m: &Manifest) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.bytes(&MANIFEST_MAGIC);
-    w.u16(MANIFEST_VERSION);
+    let mut w = WireWriter::sealed(MANIFEST_MAGIC, MANIFEST_VERSION, MANIFEST_LEN);
     w.u64(m.newest);
     w.u64(m.written);
     w.u64(m.pruned);
@@ -656,44 +654,13 @@ pub fn encode_manifest(m: &Manifest) -> Vec<u8> {
     w.seal()
 }
 
-/// Decodes a manifest, refusing damage with a typed [`WireError`]:
-/// wrong magic, unsupported version, truncation, trailing bytes, and
-/// checksum mismatch all map to the same codes the batch format uses.
+/// Decodes a manifest, refusing damage with a typed [`WireError`]: it
+/// opens through the sealed envelope every format of this crate shares
+/// (magic, version, exact length, CRC), so damage maps to the same codes
+/// the batch format uses.
 pub fn decode_manifest(bytes: &[u8]) -> Result<Manifest, WireError> {
-    if bytes.len() < 4 {
-        return Err(WireError::Truncated {
-            needed: MANIFEST_LEN,
-            got: bytes.len(),
-        });
-    }
-    let mut magic = [0u8; 4];
-    magic.copy_from_slice(&bytes[..4]);
-    if magic != MANIFEST_MAGIC {
-        return Err(WireError::BadMagic { found: magic });
-    }
-    if bytes.len() < MANIFEST_LEN {
-        return Err(WireError::Truncated {
-            needed: MANIFEST_LEN,
-            got: bytes.len(),
-        });
-    }
-    if bytes.len() > MANIFEST_LEN {
-        return Err(WireError::TrailingBytes {
-            extra: bytes.len() - MANIFEST_LEN,
-        });
-    }
-    let body = &bytes[..MANIFEST_LEN - 4];
-    let stated = u32::from_le_bytes(bytes[MANIFEST_LEN - 4..].try_into().expect("4 bytes"));
-    let computed = crc32(body);
-    if computed != stated {
-        return Err(WireError::ChecksumMismatch { computed, stated });
-    }
-    let mut r = WireReader::new(body);
-    let _ = r.bytes(4)?;
-    let version = r.u16()?;
-    if version != MANIFEST_VERSION {
-        return Err(WireError::UnsupportedVersion { got: version });
-    }
+    let mut r = WireReader::open(bytes, MANIFEST_MAGIC, MANIFEST_VERSION)?;
+    r.check_seal(MANIFEST_LEN)?;
     Ok(Manifest {
         newest: r.u64()?,
         written: r.u64()?,

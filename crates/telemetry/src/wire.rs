@@ -18,6 +18,14 @@
 //! requirement: checkpointed and straight-through runs must produce
 //! identical datasets). The CRC-32 covers everything before it.
 //!
+//! SLTB is one of four CRC-sealed formats, with SLCS frames
+//! ([`crate::slcs`]), SLCP checkpoints ([`crate::checkpoint`]) and the
+//! storage `MANIFEST` ([`crate::storage`]). All four seal their envelope
+//! through this module's writer and open it through its reader, so they
+//! share one trust order: magic, then version, then the header's own
+//! fields, then exact length, then CRC-32, then body fields. A format
+//! whose header states no length (SLCP) runs to the end of the buffer.
+//!
 //! Decoding never panics: every malformed input maps to a typed
 //! [`WireError`], which doubles as the collector's machine-readable
 //! quarantine reason.
@@ -87,15 +95,27 @@ pub enum WireError {
 }
 
 impl WireError {
+    /// Every variant's [`WireError::code`], in declaration order. The
+    /// codes are persisted inside checkpoints, which read them back
+    /// against this one table.
+    pub(crate) const CODES: [&'static str; 6] = [
+        "bad-magic",
+        "unsupported-version",
+        "truncated",
+        "trailing-bytes",
+        "checksum-mismatch",
+        "bad-field",
+    ];
+
     /// Stable machine-readable short code for quarantine records.
     pub fn code(&self) -> &'static str {
         match self {
-            WireError::BadMagic { .. } => "bad-magic",
-            WireError::UnsupportedVersion { .. } => "unsupported-version",
-            WireError::Truncated { .. } => "truncated",
-            WireError::TrailingBytes { .. } => "trailing-bytes",
-            WireError::ChecksumMismatch { .. } => "checksum-mismatch",
-            WireError::BadField { .. } => "bad-field",
+            WireError::BadMagic { .. } => Self::CODES[0],
+            WireError::UnsupportedVersion { .. } => Self::CODES[1],
+            WireError::Truncated { .. } => Self::CODES[2],
+            WireError::TrailingBytes { .. } => Self::CODES[3],
+            WireError::ChecksumMismatch { .. } => Self::CODES[4],
+            WireError::BadField { .. } => Self::CODES[5],
         }
     }
 }
@@ -416,12 +436,16 @@ impl WireWriter {
         WireWriter::default()
     }
 
-    /// A fresh writer with room for `capacity` bytes, for encoders that
-    /// know their output size up front.
-    pub fn with_capacity(capacity: usize) -> Self {
-        WireWriter {
-            buf: Vec::with_capacity(capacity),
-        }
+    /// A sealed format's writer, `len` bytes long once sealed (CRC
+    /// included), holding the envelope's `magic` and `version` preamble;
+    /// [`WireWriter::seal`] writes the other half.
+    pub fn sealed(magic: [u8; 4], version: u16, len: usize) -> Self {
+        let mut w = WireWriter {
+            buf: Vec::with_capacity(len),
+        };
+        w.bytes(&magic);
+        w.u16(version);
+        w
     }
 
     /// The bytes written so far.
@@ -484,6 +508,46 @@ impl<'a> WireReader<'a> {
     /// A reader over `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
         WireReader { buf, pos: 0 }
+    }
+
+    /// The first half of a sealed format's envelope: a reader over `buf`
+    /// past its `magic` and `version`, refusing anything else.
+    pub fn open(buf: &'a [u8], magic: [u8; 4], version: u16) -> Result<Self, WireError> {
+        let mut r = WireReader::new(buf);
+        let found = r.bytes(4)?;
+        if found != magic {
+            let found = found.try_into().expect("four bytes were read");
+            return Err(WireError::BadMagic { found });
+        }
+        let got = r.u16()?;
+        if got != version {
+            return Err(WireError::UnsupportedVersion { got });
+        }
+        Ok(r)
+    }
+
+    /// The second half of the envelope, once the header is read: the
+    /// buffer must be exactly `total` bytes, which the header states, and
+    /// its last four the CRC-32 of the rest. The reader then ends where
+    /// the CRC begins. `total` covers at least the bytes read so far and
+    /// the CRC.
+    pub fn check_seal(&mut self, total: usize) -> Result<(), WireError> {
+        debug_assert!(total >= self.pos + 4, "the stated length covers the header");
+        let got = self.buf.len();
+        if got < total {
+            return Err(WireError::Truncated { needed: total, got });
+        }
+        if got > total {
+            return Err(WireError::TrailingBytes { extra: got - total });
+        }
+        let (body, trailer) = self.buf.split_at(total - 4);
+        let stated = u32::from_le_bytes(trailer.try_into().expect("four bytes remain"));
+        let computed = crc32(body);
+        if stated != computed {
+            return Err(WireError::ChecksumMismatch { computed, stated });
+        }
+        self.buf = body;
+        Ok(())
     }
 
     /// Bytes not yet consumed.
@@ -667,9 +731,11 @@ pub(crate) fn decode_speedtest(r: &mut WireReader<'_>) -> Result<SpeedtestRecord
 
 /// Encodes a batch into its framed, checksummed wire form.
 pub fn encode_batch(batch: &RecordBatch) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.bytes(&MAGIC);
-    w.u16(VERSION);
+    let len = HEADER_LEN
+        + batch.pages.len() * PAGE_RECORD_LEN
+        + batch.speedtests.len() * SPEEDTEST_RECORD_LEN
+        + 4;
+    let mut w = WireWriter::sealed(MAGIC, VERSION, len);
     w.u16(0); // flags, reserved
     w.u64(batch.user);
     w.u64(batch.seq);
@@ -717,20 +783,12 @@ pub fn peek_header(bytes: &[u8]) -> PeekedHeader {
 
 /// Decodes and validates a framed batch.
 ///
-/// Checks run in trust order: magic, version, framing length (truncation
-/// and trailing garbage), checksum, then field domains. Never panics.
+/// Checks run in the trust order every sealed format of this crate
+/// keeps: magic, version, the header's own fields (record counts with
+/// overflow checks), exact length (truncation and trailing garbage),
+/// checksum, then field domains. Never panics.
 pub fn decode_batch(bytes: &[u8]) -> Result<RecordBatch, WireError> {
-    let mut r = WireReader::new(bytes);
-    let magic = r.bytes(4)?;
-    if magic != MAGIC {
-        let mut found = [0u8; 4];
-        found.copy_from_slice(magic);
-        return Err(WireError::BadMagic { found });
-    }
-    let version = r.u16()?;
-    if version != VERSION {
-        return Err(WireError::UnsupportedVersion { got: version });
-    }
+    let mut r = WireReader::open(bytes, MAGIC, VERSION)?;
     let _flags = r.u16()?;
     let user = r.u64()?;
     let seq = r.u64()?;
@@ -747,28 +805,7 @@ pub fn decode_batch(bytes: &[u8]) -> Result<RecordBatch, WireError> {
         .ok_or(WireError::BadField {
             field: "record counts",
         })?;
-    let total = HEADER_LEN + body + 4;
-    if bytes.len() < total {
-        return Err(WireError::Truncated {
-            needed: total,
-            got: bytes.len(),
-        });
-    }
-    if bytes.len() > total {
-        return Err(WireError::TrailingBytes {
-            extra: bytes.len() - total,
-        });
-    }
-    let stated = u32::from_le_bytes([
-        bytes[total - 4],
-        bytes[total - 3],
-        bytes[total - 2],
-        bytes[total - 1],
-    ]);
-    let computed = crc32(&bytes[..total - 4]);
-    if stated != computed {
-        return Err(WireError::ChecksumMismatch { computed, stated });
-    }
+    r.check_seal(HEADER_LEN + body + 4)?;
 
     let mut pages = Vec::with_capacity(page_count);
     for _ in 0..page_count {

@@ -425,31 +425,6 @@ fn fuzz_manifest(rng: &mut SimRng) -> Manifest {
 }
 
 #[test]
-fn manifest_truncation_at_every_boundary_yields_typed_errors() {
-    let mut rng = SimRng::seed_from(FUZZ_SEED).stream("manifest-truncate");
-    for _ in 0..64 {
-        let manifest = fuzz_manifest(&mut rng);
-        let wire = encode_manifest(&manifest);
-        assert_eq!(decode_manifest(&wire).as_ref(), Ok(&manifest), "round trip");
-        for cut in 0..wire.len() {
-            match decode_manifest(&wire[..cut]) {
-                Ok(_) => panic!("accepted a {cut}-byte prefix of {} bytes", wire.len()),
-                Err(WireError::BadMagic { .. }) => assert!(cut >= 4, "magic read past prefix"),
-                Err(WireError::Truncated { .. }) => {}
-                Err(other) => panic!("truncation at {cut} produced {other:?}"),
-            }
-        }
-        // Any suffix breaks the exact-length contract, typed.
-        let mut extended = wire.clone();
-        extended.push(rng.below(256) as u8);
-        assert!(matches!(
-            decode_manifest(&extended),
-            Err(WireError::TrailingBytes { .. })
-        ));
-    }
-}
-
-#[test]
 fn manifest_bit_flips_never_panic_and_never_forge() {
     let mut rng = SimRng::seed_from(FUZZ_SEED).stream("manifest-bitflip");
     let known = [
@@ -617,6 +592,245 @@ fn hostile_record_counts_cannot_overflow_framing() {
         match decode_batch(&wire) {
             Err(WireError::BadField { .. }) | Err(WireError::Truncated { .. }) => {}
             other => panic!("hostile counts decoded to {other:?}"),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// One trust order over every sealed format
+// ---------------------------------------------------------------------
+
+use starlink_telemetry::{
+    CampaignConfig, CheckpointError, IngestOptions, ResilientCampaign, ScaleConfig, ScaledCampaign,
+};
+
+/// A sealed format's decoder, reduced to its verdict.
+type Decode = Box<dyn Fn(&[u8]) -> Result<(), WireError>>;
+
+/// One sealed sample and the decoder that judges it. `decode` also
+/// asserts that whatever it accepts re-encodes to the bytes it was given.
+struct Sealed {
+    name: &'static str,
+    bytes: Vec<u8>,
+    /// Bytes of the header: magic, version and the format's own fields.
+    header_len: usize,
+    /// Whether the header states the whole length. An SLCP blob states
+    /// none: it runs to the end of the buffer, so its CRC is what finds
+    /// a cut past its envelope or an appended byte.
+    states_length: bool,
+    decode: Decode,
+}
+
+/// The shortest buffer an SLCP envelope can hold: magic, version, kind
+/// and the CRC.
+const SLCP_MIN_LEN: usize = 4 + 2 + 1 + 4;
+
+/// A checkpoint decode's envelope verdict; a blob of another scenario
+/// cannot come out of a damaged sample of this one.
+fn envelope<T>(decoded: Result<T, CheckpointError>) -> Result<T, WireError> {
+    decoded.map_err(|e| match e {
+        CheckpointError::Wire(e) => e,
+        other => panic!("damage surfaced as {other:?}"),
+    })
+}
+
+/// An SLTB batch, each of the five SLCS frame types, the three SLCP
+/// kinds and an SLMF manifest.
+fn every_sealed_format() -> Vec<Sealed> {
+    let mut rng = SimRng::seed_from(FUZZ_SEED).stream("trust-order-samples");
+    let batch = encode_batch(&fuzz_batch(&mut rng));
+    let mut samples = vec![Sealed {
+        name: "SLTB batch",
+        bytes: batch.clone(),
+        header_len: 4 + 2 + 2 + 8 + 8 + 4 + 4,
+        states_length: true,
+        decode: Box::new(|b| decode_batch(b).map(|got| assert_eq!(encode_batch(&got), b))),
+    }];
+
+    let (session, seq) = (rng.next_u64(), rng.next_u64());
+    for (name, frame) in [
+        ("SLCS HELLO", Frame::Hello { session, user: 7 }),
+        (
+            "SLCS BATCH",
+            Frame::Batch {
+                session,
+                seq,
+                payload: batch,
+            },
+        ),
+        (
+            "SLCS ACK",
+            Frame::Ack {
+                session,
+                seq,
+                status: AckStatus::Duplicate,
+            },
+        ),
+        (
+            "SLCS REJECT",
+            Frame::Reject {
+                session,
+                seq,
+                reason: ShedReason::QueueFull,
+                retry_after_ns: 1_500_000_000,
+            },
+        ),
+        ("SLCS DRAIN", Frame::Drain { session }),
+    ] {
+        samples.push(Sealed {
+            name,
+            bytes: encode_frame(&frame),
+            header_len: SLCS_HEADER_LEN,
+            states_length: true,
+            decode: Box::new(|b| decode_frame(b).map(|got| assert_eq!(encode_frame(&got), b))),
+        });
+    }
+
+    let config = CampaignConfig {
+        seed: 3,
+        days: 4,
+        pages_per_day: 8.0,
+        tranco_size: 50_000,
+    };
+    let mut campaign = ResilientCampaign::new(config.clone(), IngestOptions::fault_storm(28, 4));
+    campaign.run_day();
+    let mut collector = Collector::new();
+    collector.submit(&encode_batch(&fuzz_batch(&mut rng)), SimTime::ZERO);
+    collector.submit(b"not a batch", SimTime::from_secs(1));
+    let scale = ScaleConfig {
+        seed: 3,
+        users: 64,
+        cities: 20,
+        days: 4,
+        pages_per_day_milli: 22_000,
+    };
+    let mut scaled = ScaledCampaign::new(scale);
+    scaled.run_day(1);
+    samples.extend([
+        Sealed {
+            name: "SLCP campaign",
+            bytes: campaign.checkpoint(),
+            header_len: 4 + 2 + 1,
+            states_length: false,
+            decode: Box::new(move |b| {
+                let options = IngestOptions::fault_storm(28, 4);
+                envelope(ResilientCampaign::resume(config.clone(), options, b))
+                    .map(|got| assert_eq!(got.checkpoint(), b))
+            }),
+        },
+        Sealed {
+            name: "SLCP server",
+            bytes: encode_server_checkpoint(&collector),
+            header_len: 4 + 2 + 1,
+            states_length: false,
+            decode: Box::new(|b| {
+                envelope(decode_server_checkpoint(b))
+                    .map(|got| assert_eq!(encode_server_checkpoint(&got), b))
+            }),
+        },
+        Sealed {
+            name: "SLCP scaled",
+            bytes: scaled.checkpoint(),
+            header_len: 4 + 2 + 1,
+            states_length: false,
+            decode: Box::new(move |b| {
+                envelope(ScaledCampaign::resume(scale, b))
+                    .map(|got| assert_eq!(got.checkpoint(), b))
+            }),
+        },
+        Sealed {
+            name: "SLMF manifest",
+            bytes: encode_manifest(&fuzz_manifest(&mut rng)),
+            header_len: 4 + 2,
+            states_length: true,
+            decode: Box::new(|b| {
+                decode_manifest(b).map(|got| assert_eq!(encode_manifest(&got), b))
+            }),
+        },
+    ]);
+    samples
+}
+
+/// Every sealed format opens in one trust order — magic, version, the
+/// header's own fields, exact length, CRC-32, then body fields — so one
+/// kind of damage gets one answer whichever format it hits.
+#[test]
+fn every_sealed_format_refuses_damage_in_one_trust_order() {
+    let mut rng = SimRng::seed_from(FUZZ_SEED).stream("trust-order-damage");
+    for sample in every_sealed_format() {
+        let Sealed {
+            name,
+            bytes,
+            header_len,
+            states_length,
+            decode,
+        } = sample;
+        let len = bytes.len();
+        assert_eq!(decode(&bytes), Ok(()), "{name}: the sample itself");
+
+        for cut in 0..len {
+            let got = decode(&bytes[..cut]);
+            if states_length || cut < SLCP_MIN_LEN {
+                assert!(
+                    matches!(got, Err(WireError::Truncated { .. })),
+                    "{name}: {cut}-byte prefix gave {got:?}"
+                );
+            } else {
+                assert!(
+                    matches!(got, Err(WireError::ChecksumMismatch { .. })),
+                    "{name}: {cut}-byte prefix gave {got:?}"
+                );
+            }
+        }
+
+        let mut extended = bytes.clone();
+        extended.push(rng.below(256) as u8);
+        let got = decode(&extended);
+        if states_length {
+            assert_eq!(got, Err(WireError::TrailingBytes { extra: 1 }), "{name}");
+        } else {
+            assert!(
+                matches!(got, Err(WireError::ChecksumMismatch { .. })),
+                "{name}: an appended byte gave {got:?}"
+            );
+        }
+
+        let mut flipped = |at: usize| {
+            let mut bad = bytes.clone();
+            bad[at] ^= 1 << rng.below(8);
+            decode(&bad)
+        };
+        for at in 0..4 {
+            let got = flipped(at);
+            assert!(
+                matches!(got, Err(WireError::BadMagic { .. })),
+                "{name}: magic byte {at} gave {got:?}"
+            );
+        }
+        for at in 4..6 {
+            let got = flipped(at);
+            assert!(
+                matches!(got, Err(WireError::UnsupportedVersion { .. })),
+                "{name}: version byte {at} gave {got:?}"
+            );
+        }
+        // Body and CRC: every byte of a short sample, a seeded draw plus
+        // the whole CRC of a long one.
+        let after_header: Vec<usize> = if len - header_len <= 512 {
+            (header_len..len).collect()
+        } else {
+            let mut draw = SimRng::seed_from(FUZZ_SEED).stream(name);
+            (0..256)
+                .map(|_| header_len + draw.index(len - header_len))
+                .chain(len - 4..len)
+                .collect()
+        };
+        for at in after_header {
+            let got = flipped(at);
+            assert!(
+                matches!(got, Err(WireError::ChecksumMismatch { .. })),
+                "{name}: byte {at} of {len} gave {got:?}"
+            );
         }
     }
 }

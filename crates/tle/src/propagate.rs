@@ -16,7 +16,7 @@
 //! visibility and slant-range computations consume.
 
 use crate::elements::{OrbitalElements, J2, MU_EARTH, OMEGA_EARTH, RE_EARTH};
-use starlink_geo::{Ecef, EcefColumns};
+use starlink_geo::Ecef;
 use std::collections::HashMap;
 
 /// A satellite propagator built from one TLE's mean elements.
@@ -370,18 +370,6 @@ impl BatchPropagator {
     /// Earth-fixed position of satellite `index`, `t` seconds after epoch.
     pub fn position_at_secs(&self, index: usize, t: f64) -> Ecef {
         self.satellite(index).position_at_secs(t)
-    }
-
-    /// Earth-fixed position of every satellite `t` seconds after epoch, in
-    /// index order.
-    pub fn positions_at_secs(&self, t: f64) -> EcefColumns {
-        let earth = self.earth_rotation(t);
-        let nodes = self.nodes_at(t);
-        let mut positions = EcefColumns::with_capacity(self.len());
-        for index in 0..self.len() {
-            positions.push(self.position_in(index, t, &nodes, earth));
-        }
-        positions
     }
 }
 

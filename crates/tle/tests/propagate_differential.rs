@@ -121,14 +121,13 @@ fn assert_bit_identical(elements: &[OrbitalElements], what: &str) {
     let batch = BatchPropagator::new(elements, GMST0);
     assert_eq!(batch.len(), elements.len());
     for t in TIMES {
-        let positions = batch.positions_at_secs(t);
-        assert_eq!(positions.len(), elements.len());
+        let (nodes, earth) = (batch.nodes_at(t), batch.earth_rotation(t));
         for (i, el) in elements.iter().enumerate() {
             let want = bits(Reference::new(el, GMST0).position_at_secs(t));
             let scalar = Propagator::new(el, GMST0).position_at_secs(t);
             assert_eq!(bits(scalar), want, "{what}: scalar, satellite {i}, t {t}");
             assert_eq!(
-                bits(positions.get(i)),
+                bits(batch.position_in(i, t, &nodes, earth)),
                 want,
                 "{what}: batch, satellite {i}, t {t}"
             );
@@ -260,10 +259,11 @@ proptest! {
         mate.eccentricity = el.eccentricity;
         mate.mean_motion_rev_per_day = el.mean_motion_rev_per_day;
         let all = [mate, el.clone(), other, el];
-        let positions = BatchPropagator::new(&all, gmst0).positions_at_secs(t);
+        let batch = BatchPropagator::new(&all, gmst0);
+        let (nodes, earth) = (batch.nodes_at(t), batch.earth_rotation(t));
         for (i, el) in all.iter().enumerate() {
             prop_assert_eq!(
-                bits(positions.get(i)),
+                bits(batch.position_in(i, t, &nodes, earth)),
                 bits(Reference::new(el, gmst0).position_at_secs(t)),
                 "batch index {}", i
             );
