@@ -121,6 +121,7 @@ use starlink_core::telemetry::{
     ScaleConfig, ScaledCampaign,
 };
 use starlink_core::tools::Cron;
+use starlink_simtest::json::Json;
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -207,7 +208,7 @@ fn render_trace_jsonl(seed: u64, entries: &[(String, ObsvOut)]) -> String {
         };
         out.push_str(&format!(
             "{{\"artefact\":{},\"events\":{events},\"dropped\":{dropped}}}\n",
-            json_string(target)
+            Json::str(target).render()
         ));
         out.push_str(jsonl);
     }
@@ -227,7 +228,7 @@ fn render_metrics_json(seed: u64, entries: &[(String, ObsvOut)]) -> String {
         };
         out.push_str(if first { "\n" } else { ",\n" });
         first = false;
-        out.push_str(&format!("    {}: ", json_string(target)));
+        out.push_str(&format!("    {}: ", Json::str(target).render()));
         out.push_str(&reg.to_json(4));
     }
     out.push_str(if first { "}\n" } else { "\n  }\n" });
@@ -520,22 +521,6 @@ fn record(
     eprintln!("[fail] {target}: {err}");
     failures.push((target.to_string(), err));
     false
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Opens the campaign's checkpoint chain at `--checkpoint` when the run

@@ -27,7 +27,7 @@
 
 use crate::json::Json;
 use crate::run::RunOptions;
-use crate::scenario::{field, field_u64, parse_algo, ScenarioError};
+use crate::scenario::{fields, Field, ScenarioError};
 use starlink_netsim::{LinkConfig, Network, NodeId, NodeKind};
 use starlink_simcore::{Bytes, DataRate, SimDuration, SimTime};
 use starlink_transport::tcp::TcpConfig;
@@ -52,6 +52,15 @@ pub struct FlowMixSpec {
     pub duration_ms: u64,
 }
 
+fields!(FlowMixSpec {
+    seed,
+    mix,
+    bottleneck_kbps,
+    queue_bytes,
+    access_delay_us,
+    duration_ms
+});
+
 impl FlowMixSpec {
     /// Structural sanity: at least one flow, a usable bottleneck.
     pub fn validate(&self) -> Result<(), ScenarioError> {
@@ -70,42 +79,6 @@ impl FlowMixSpec {
             return Err(ScenarioError::Field("fairness duration must be > 0"));
         }
         Ok(())
-    }
-
-    pub(crate) fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("seed".into(), Json::u64(self.seed)),
-            (
-                "mix".into(),
-                Json::Arr(self.mix.iter().map(|a| Json::str(a.label())).collect()),
-            ),
-            ("bottleneck_kbps".into(), Json::u64(self.bottleneck_kbps)),
-            ("queue_bytes".into(), Json::u64(self.queue_bytes)),
-            ("access_delay_us".into(), Json::u64(self.access_delay_us)),
-            ("duration_ms".into(), Json::u64(self.duration_ms)),
-        ])
-    }
-
-    pub(crate) fn from_json(v: &Json) -> Result<Self, ScenarioError> {
-        let mix = field(v, "mix")?
-            .as_arr()
-            .ok_or(ScenarioError::Field("mix must be an array"))?
-            .iter()
-            .map(|a| {
-                parse_algo(
-                    a.as_str()
-                        .ok_or(ScenarioError::Field("mix entries must be labels"))?,
-                )
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(FlowMixSpec {
-            seed: field_u64(v, "seed")?,
-            mix,
-            bottleneck_kbps: field_u64(v, "bottleneck_kbps")?,
-            queue_bytes: field_u64(v, "queue_bytes")?,
-            access_delay_us: field_u64(v, "access_delay_us")?,
-            duration_ms: field_u64(v, "duration_ms")?,
-        })
     }
 }
 

@@ -75,7 +75,7 @@ pub fn generate(seed: u64) -> Scenario {
         let population = trng.bernoulli(0.5).then(|| PopulationSpec {
             seed: trng.next_u64(),
             users: trng.range_u64(50, 400),
-            cities: trng.range_u64(3, 30),
+            cities: trng.range_u64(3, 30) as u32,
             days: trng.range_u64(1, 3),
             shards: trng.range_u64(2, 5),
             pages_per_day_milli: trng.range_u64(2_000, 9_000),

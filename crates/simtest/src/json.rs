@@ -45,14 +45,6 @@ impl Json {
         }
     }
 
-    /// The value as `usize`, if it is an integer token in range.
-    pub(crate) fn as_usize(&self) -> Option<usize> {
-        match self {
-            Json::Num(t) => t.parse().ok(),
-            _ => None,
-        }
-    }
-
     /// The value as a bool.
     pub fn as_bool(&self) -> Option<bool> {
         match self {

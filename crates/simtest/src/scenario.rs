@@ -7,6 +7,16 @@
 //! fields are integers (microseconds, kbps, ppm, …) so the JSON
 //! round-trip is exact — a replayed failing seed reconstructs the
 //! *identical* run.
+//!
+//! Each type's JSON form is one field table: `fields!` for a struct,
+//! `tagged!` for the `kind`-tagged enums. A table lists the type's fields
+//! once, in declaration order, which is also the key order; the writer
+//! and the reader both come from it, and the reader builds a struct
+//! literal, so a field left out of the table does not compile. A missing
+//! key is refused unless its field is an `Option`, which reads as absent:
+//! that is how artefacts saved before a dimension existed still load. An
+//! integer that does not fit its field (a `condition_code` of 259) is
+//! refused, never truncated.
 
 use crate::fairness::FlowMixSpec;
 use crate::json::{parse, Json, JsonError};
@@ -15,6 +25,149 @@ use starlink_netsim::LinkConfig;
 use starlink_simcore::{Bytes, DataRate, SimDuration};
 use starlink_transport::CcAlgorithm;
 use std::fmt;
+
+/// A value a scenario document stores under one key.
+pub(crate) trait Field: Sized {
+    /// The value as JSON.
+    fn to_json(&self) -> Json;
+
+    /// Reads the value stored under `key`. A value of the wrong shape, or
+    /// an integer outside its type's range, is refused as
+    /// `ScenarioError::Field(key)`.
+    fn read(v: &Json, key: &'static str) -> Result<Self, ScenarioError>;
+
+    /// What a missing `key` reads as: refused, except for an `Option`.
+    fn missing(key: &'static str) -> Result<Self, ScenarioError> {
+        Err(ScenarioError::Field(key))
+    }
+
+    /// Reads `key` of the object `doc`.
+    fn get(doc: &Json, key: &'static str) -> Result<Self, ScenarioError> {
+        match doc.get(key) {
+            Some(v) => Self::read(v, key),
+            None => Self::missing(key),
+        }
+    }
+
+    /// Reads a whole document of a table type.
+    fn from_json(doc: &Json) -> Result<Self, ScenarioError> {
+        Self::read(doc, "document")
+    }
+}
+
+/// An integer writes as its decimal token and reads through a checked
+/// conversion from `u64`, so a value its type cannot hold is refused.
+macro_rules! integer_field {
+    ($($t:ty),*) => {$(
+        impl Field for $t {
+            fn to_json(&self) -> Json {
+                Json::Num(self.to_string())
+            }
+
+            fn read(v: &Json, key: &'static str) -> Result<Self, ScenarioError> {
+                v.as_u64()
+                    .and_then(|n| Self::try_from(n).ok())
+                    .ok_or(ScenarioError::Field(key))
+            }
+        }
+    )*};
+}
+
+integer_field!(u64, u32, u8, usize);
+
+impl Field for bool {
+    fn to_json(&self) -> Json {
+        Json::Bool(*self)
+    }
+
+    fn read(v: &Json, key: &'static str) -> Result<Self, ScenarioError> {
+        v.as_bool().ok_or(ScenarioError::Field(key))
+    }
+}
+
+impl Field for CcAlgorithm {
+    fn to_json(&self) -> Json {
+        Json::str(self.label())
+    }
+
+    fn read(v: &Json, key: &'static str) -> Result<Self, ScenarioError> {
+        parse_algo(v.as_str().ok_or(ScenarioError::Field(key))?)
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(Field::to_json).collect())
+    }
+
+    fn read(v: &Json, key: &'static str) -> Result<Self, ScenarioError> {
+        let items = v.as_arr().ok_or(ScenarioError::Field(key))?;
+        items.iter().map(|item| T::read(item, key)).collect()
+    }
+}
+
+impl<T: Field> Field for Option<T> {
+    fn to_json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, Field::to_json)
+    }
+
+    fn read(v: &Json, key: &'static str) -> Result<Self, ScenarioError> {
+        match v {
+            Json::Null => Ok(None),
+            v => T::read(v, key).map(Some),
+        }
+    }
+
+    fn missing(_key: &'static str) -> Result<Self, ScenarioError> {
+        Ok(None)
+    }
+}
+
+/// The field table of a struct: `fields!(Type { a, b })` writes the
+/// object `{"a":…,"b":…}` and reads it back into `Type { a, b }`.
+/// Expands where `Field`, `Json` and `ScenarioError` are in scope.
+macro_rules! fields {
+    ($ty:ident { $($f:ident),* $(,)? }) => {
+        impl Field for $ty {
+            fn to_json(&self) -> Json {
+                Json::Obj(vec![$((stringify!($f).into(), Field::to_json(&self.$f))),*])
+            }
+
+            fn read(v: &Json, _key: &'static str) -> Result<Self, ScenarioError> {
+                Ok($ty { $($f: Field::get(v, stringify!($f))?),* })
+            }
+        }
+    };
+}
+pub(crate) use fields;
+
+/// The tag key of a `tagged!` enum's objects.
+const KIND: &str = "kind";
+
+/// The field table of a `kind`-tagged enum: `tagged!(Type { Variant =
+/// "tag" { a, b }, … })` writes `{"kind":"tag","a":…,"b":…}` and reads it
+/// back into `Type::Variant { a, b }`; an unknown tag is refused.
+macro_rules! tagged {
+    ($ty:ident { $($var:ident = $tag:literal { $($f:ident),* $(,)? }),* $(,)? }) => {
+        impl Field for $ty {
+            fn to_json(&self) -> Json {
+                match self {
+                    $($ty::$var { $($f),* } => Json::Obj(vec![
+                        (KIND.into(), Json::str($tag)),
+                        $((stringify!($f).into(), Field::to_json($f))),*
+                    ]),)*
+                }
+            }
+
+            fn read(v: &Json, key: &'static str) -> Result<Self, ScenarioError> {
+                match v.get(KIND).and_then(Json::as_str) {
+                    $(Some($tag) => Ok($ty::$var { $($f: Field::get(v, stringify!($f))?),* }),)*
+                    _ => Err(ScenarioError::Field(key)),
+                }
+            }
+        }
+    };
+}
 
 /// One direction of an access link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,6 +182,13 @@ pub struct LinkSpec {
     pub queue_bytes: u64,
 }
 
+fields!(LinkSpec {
+    delay_us,
+    rate_kbps,
+    loss_ppm,
+    queue_bytes
+});
+
 impl LinkSpec {
     /// The netsim link configuration this spec describes.
     pub fn config(&self) -> LinkConfig {
@@ -38,24 +198,6 @@ impl LinkSpec {
             self.loss_ppm as f64 / 1e6,
         )
         .with_queue(Bytes::new(self.queue_bytes))
-    }
-
-    fn to_json(self) -> Json {
-        Json::Obj(vec![
-            ("delay_us".into(), Json::u64(self.delay_us)),
-            ("rate_kbps".into(), Json::u64(self.rate_kbps)),
-            ("loss_ppm".into(), Json::u64(self.loss_ppm)),
-            ("queue_bytes".into(), Json::u64(self.queue_bytes)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, ScenarioError> {
-        Ok(LinkSpec {
-            delay_us: field_u64(v, "delay_us")?,
-            rate_kbps: field_u64(v, "rate_kbps")?,
-            loss_ppm: field_u64(v, "loss_ppm")?,
-            queue_bytes: field_u64(v, "queue_bytes")?,
-        })
     }
 }
 
@@ -100,79 +242,12 @@ pub enum Workload {
     },
 }
 
-impl Workload {
-    fn to_json(&self) -> Json {
-        match *self {
-            Workload::TcpBulk {
-                algo,
-                total_bytes,
-                start_ms,
-            } => Json::Obj(vec![
-                ("kind".into(), Json::str("tcp_bulk")),
-                ("algo".into(), Json::str(algo.label())),
-                ("total_bytes".into(), Json::u64(total_bytes)),
-                ("start_ms".into(), Json::u64(start_ms)),
-            ]),
-            Workload::TcpStream {
-                algo,
-                start_ms,
-                stop_ms,
-            } => Json::Obj(vec![
-                ("kind".into(), Json::str("tcp_stream")),
-                ("algo".into(), Json::str(algo.label())),
-                ("start_ms".into(), Json::u64(start_ms)),
-                ("stop_ms".into(), Json::u64(stop_ms)),
-            ]),
-            Workload::UdpBlast {
-                rate_kbps,
-                payload,
-                stop_ms,
-            } => Json::Obj(vec![
-                ("kind".into(), Json::str("udp_blast")),
-                ("rate_kbps".into(), Json::u64(rate_kbps)),
-                ("payload".into(), Json::u64(payload)),
-                ("stop_ms".into(), Json::u64(stop_ms)),
-            ]),
-            Workload::Ping {
-                count,
-                interval_ms,
-                size,
-            } => Json::Obj(vec![
-                ("kind".into(), Json::str("ping")),
-                ("count".into(), Json::u64(count)),
-                ("interval_ms".into(), Json::u64(interval_ms)),
-                ("size".into(), Json::u64(size)),
-            ]),
-        }
-    }
-
-    fn from_json(v: &Json) -> Result<Self, ScenarioError> {
-        let kind = field_str(v, "kind")?;
-        match kind {
-            "tcp_bulk" => Ok(Workload::TcpBulk {
-                algo: parse_algo(field_str(v, "algo")?)?,
-                total_bytes: field_u64(v, "total_bytes")?,
-                start_ms: field_u64(v, "start_ms")?,
-            }),
-            "tcp_stream" => Ok(Workload::TcpStream {
-                algo: parse_algo(field_str(v, "algo")?)?,
-                start_ms: field_u64(v, "start_ms")?,
-                stop_ms: field_u64(v, "stop_ms")?,
-            }),
-            "udp_blast" => Ok(Workload::UdpBlast {
-                rate_kbps: field_u64(v, "rate_kbps")?,
-                payload: field_u64(v, "payload")?,
-                stop_ms: field_u64(v, "stop_ms")?,
-            }),
-            "ping" => Ok(Workload::Ping {
-                count: field_u64(v, "count")?,
-                interval_ms: field_u64(v, "interval_ms")?,
-                size: field_u64(v, "size")?,
-            }),
-            _ => Err(ScenarioError::Field("unknown workload kind")),
-        }
-    }
-}
+tagged!(Workload {
+    TcpBulk = "tcp_bulk" { algo, total_bytes, start_ms },
+    TcpStream = "tcp_stream" { algo, start_ms, stop_ms },
+    UdpBlast = "udp_blast" { rate_kbps, payload, stop_ms },
+    Ping = "ping" { count, interval_ms, size },
+});
 
 /// One client: its access-link channel profile and workload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -185,23 +260,7 @@ pub struct ClientSpec {
     pub workload: Workload,
 }
 
-impl ClientSpec {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("up".into(), self.up.to_json()),
-            ("down".into(), self.down.to_json()),
-            ("workload".into(), self.workload.to_json()),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, ScenarioError> {
-        Ok(ClientSpec {
-            up: LinkSpec::from_json(field(v, "up")?)?,
-            down: LinkSpec::from_json(field(v, "down")?)?,
-            workload: Workload::from_json(field(v, "workload")?)?,
-        })
-    }
-}
+fields!(ClientSpec { up, down, workload });
 
 /// A scripted fault, in scenario coordinates (client/router indices, not
 /// raw link indices — the runner resolves them against the topology it
@@ -268,6 +327,14 @@ pub enum FaultSpec {
     },
 }
 
+tagged!(FaultSpec {
+    AccessFlap = "access_flap" { client, up, start_ms, end_ms, period_ms, down_ppm },
+    AccessCorruption = "access_corruption" { client, up, start_ms, duration_ms, prob_ppm },
+    AccessFade = "access_fade" { client, start_ms, duration_ms, condition_code },
+    BackboneOutage = "backbone_outage" { hop, start_ms, duration_ms },
+    RouterBlackout = "router_blackout" { router, start_ms, duration_ms },
+});
+
 impl FaultSpec {
     /// The client index this fault references, if any (used by the
     /// shrinker to re-index faults when clients are removed).
@@ -287,110 +354,6 @@ impl FaultSpec {
             | FaultSpec::AccessCorruption { client, .. }
             | FaultSpec::AccessFade { client, .. } => Some(client),
             _ => None,
-        }
-    }
-
-    fn to_json(&self) -> Json {
-        match *self {
-            FaultSpec::AccessFlap {
-                client,
-                up,
-                start_ms,
-                end_ms,
-                period_ms,
-                down_ppm,
-            } => Json::Obj(vec![
-                ("kind".into(), Json::str("access_flap")),
-                ("client".into(), Json::u64(client as u64)),
-                ("up".into(), Json::Bool(up)),
-                ("start_ms".into(), Json::u64(start_ms)),
-                ("end_ms".into(), Json::u64(end_ms)),
-                ("period_ms".into(), Json::u64(period_ms)),
-                ("down_ppm".into(), Json::u64(down_ppm)),
-            ]),
-            FaultSpec::AccessCorruption {
-                client,
-                up,
-                start_ms,
-                duration_ms,
-                prob_ppm,
-            } => Json::Obj(vec![
-                ("kind".into(), Json::str("access_corruption")),
-                ("client".into(), Json::u64(client as u64)),
-                ("up".into(), Json::Bool(up)),
-                ("start_ms".into(), Json::u64(start_ms)),
-                ("duration_ms".into(), Json::u64(duration_ms)),
-                ("prob_ppm".into(), Json::u64(prob_ppm)),
-            ]),
-            FaultSpec::AccessFade {
-                client,
-                start_ms,
-                duration_ms,
-                condition_code,
-            } => Json::Obj(vec![
-                ("kind".into(), Json::str("access_fade")),
-                ("client".into(), Json::u64(client as u64)),
-                ("start_ms".into(), Json::u64(start_ms)),
-                ("duration_ms".into(), Json::u64(duration_ms)),
-                ("condition_code".into(), Json::u64(condition_code as u64)),
-            ]),
-            FaultSpec::BackboneOutage {
-                hop,
-                start_ms,
-                duration_ms,
-            } => Json::Obj(vec![
-                ("kind".into(), Json::str("backbone_outage")),
-                ("hop".into(), Json::u64(hop as u64)),
-                ("start_ms".into(), Json::u64(start_ms)),
-                ("duration_ms".into(), Json::u64(duration_ms)),
-            ]),
-            FaultSpec::RouterBlackout {
-                router,
-                start_ms,
-                duration_ms,
-            } => Json::Obj(vec![
-                ("kind".into(), Json::str("router_blackout")),
-                ("router".into(), Json::u64(router as u64)),
-                ("start_ms".into(), Json::u64(start_ms)),
-                ("duration_ms".into(), Json::u64(duration_ms)),
-            ]),
-        }
-    }
-
-    fn from_json(v: &Json) -> Result<Self, ScenarioError> {
-        match field_str(v, "kind")? {
-            "access_flap" => Ok(FaultSpec::AccessFlap {
-                client: field_usize(v, "client")?,
-                up: field_bool(v, "up")?,
-                start_ms: field_u64(v, "start_ms")?,
-                end_ms: field_u64(v, "end_ms")?,
-                period_ms: field_u64(v, "period_ms")?,
-                down_ppm: field_u64(v, "down_ppm")?,
-            }),
-            "access_corruption" => Ok(FaultSpec::AccessCorruption {
-                client: field_usize(v, "client")?,
-                up: field_bool(v, "up")?,
-                start_ms: field_u64(v, "start_ms")?,
-                duration_ms: field_u64(v, "duration_ms")?,
-                prob_ppm: field_u64(v, "prob_ppm")?,
-            }),
-            "access_fade" => Ok(FaultSpec::AccessFade {
-                client: field_usize(v, "client")?,
-                start_ms: field_u64(v, "start_ms")?,
-                duration_ms: field_u64(v, "duration_ms")?,
-                condition_code: field_u64(v, "condition_code")? as u8,
-            }),
-            "backbone_outage" => Ok(FaultSpec::BackboneOutage {
-                hop: field_usize(v, "hop")?,
-                start_ms: field_u64(v, "start_ms")?,
-                duration_ms: field_u64(v, "duration_ms")?,
-            }),
-            "router_blackout" => Ok(FaultSpec::RouterBlackout {
-                router: field_usize(v, "router")?,
-                start_ms: field_u64(v, "start_ms")?,
-                duration_ms: field_u64(v, "duration_ms")?,
-            }),
-            _ => Err(ScenarioError::Field("unknown fault kind")),
         }
     }
 }
@@ -413,6 +376,14 @@ pub struct CollectorSpec {
     pub drain_bytes_per_sec: u64,
 }
 
+fields!(CollectorSpec {
+    session_rate_milli,
+    session_burst,
+    queue_batches,
+    global_bytes,
+    drain_bytes_per_sec
+});
+
 impl CollectorSpec {
     /// The admission configuration this spec describes.
     pub fn config(&self) -> starlink_telemetry::AdmissionConfig {
@@ -423,32 +394,6 @@ impl CollectorSpec {
             global_bytes: self.global_bytes,
             drain_bytes_per_sec: self.drain_bytes_per_sec,
         }
-    }
-
-    fn to_json(self) -> Json {
-        Json::Obj(vec![
-            (
-                "session_rate_milli".into(),
-                Json::u64(self.session_rate_milli),
-            ),
-            ("session_burst".into(), Json::u64(self.session_burst)),
-            ("queue_batches".into(), Json::u64(self.queue_batches)),
-            ("global_bytes".into(), Json::u64(self.global_bytes)),
-            (
-                "drain_bytes_per_sec".into(),
-                Json::u64(self.drain_bytes_per_sec),
-            ),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, ScenarioError> {
-        Ok(CollectorSpec {
-            session_rate_milli: field_u64(v, "session_rate_milli")?,
-            session_burst: field_u64(v, "session_burst")?,
-            queue_batches: field_u64(v, "queue_batches")?,
-            global_bytes: field_u64(v, "global_bytes")?,
-            drain_bytes_per_sec: field_u64(v, "drain_bytes_per_sec")?,
-        })
     }
 }
 
@@ -477,6 +422,15 @@ pub struct StorageFaultSpec {
     pub retain: u64,
 }
 
+fields!(StorageFaultSpec {
+    seed,
+    torn_writes,
+    bit_rots,
+    enospc,
+    crashes,
+    retain
+});
+
 impl StorageFaultSpec {
     /// Compiles the spec into its deterministic fault plan.
     pub fn plan(&self) -> starlink_telemetry::StorageFaultPlan {
@@ -487,28 +441,6 @@ impl StorageFaultSpec {
             self.enospc,
             self.crashes,
         )
-    }
-
-    fn to_json(self) -> Json {
-        Json::Obj(vec![
-            ("seed".into(), Json::u64(self.seed)),
-            ("torn_writes".into(), Json::u64(self.torn_writes)),
-            ("bit_rots".into(), Json::u64(self.bit_rots)),
-            ("enospc".into(), Json::u64(self.enospc)),
-            ("crashes".into(), Json::u64(self.crashes)),
-            ("retain".into(), Json::u64(self.retain)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, ScenarioError> {
-        Ok(StorageFaultSpec {
-            seed: field_u64(v, "seed")?,
-            torn_writes: field_u64(v, "torn_writes")?,
-            bit_rots: field_u64(v, "bit_rots")?,
-            enospc: field_u64(v, "enospc")?,
-            crashes: field_u64(v, "crashes")?,
-            retain: field_u64(v, "retain")?,
-        })
     }
 }
 
@@ -525,7 +457,7 @@ pub struct PopulationSpec {
     /// Simulated subscribers.
     pub users: u64,
     /// City-catalogue size.
-    pub cities: u64,
+    pub cities: u32,
     /// Campaign length, days.
     pub days: u64,
     /// Worker count for the sharded run (the reference run is always
@@ -535,41 +467,25 @@ pub struct PopulationSpec {
     pub pages_per_day_milli: u64,
 }
 
+fields!(PopulationSpec {
+    seed,
+    users,
+    cities,
+    days,
+    shards,
+    pages_per_day_milli
+});
+
 impl PopulationSpec {
     /// The scaled-campaign configuration this spec describes.
     pub fn config(&self) -> starlink_telemetry::ScaleConfig {
         starlink_telemetry::ScaleConfig {
             seed: self.seed,
             users: self.users,
-            cities: self.cities as u32,
+            cities: self.cities,
             days: self.days,
             pages_per_day_milli: self.pages_per_day_milli,
         }
-    }
-
-    fn to_json(self) -> Json {
-        Json::Obj(vec![
-            ("seed".into(), Json::u64(self.seed)),
-            ("users".into(), Json::u64(self.users)),
-            ("cities".into(), Json::u64(self.cities)),
-            ("days".into(), Json::u64(self.days)),
-            ("shards".into(), Json::u64(self.shards)),
-            (
-                "pages_per_day_milli".into(),
-                Json::u64(self.pages_per_day_milli),
-            ),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, ScenarioError> {
-        Ok(PopulationSpec {
-            seed: field_u64(v, "seed")?,
-            users: field_u64(v, "users")?,
-            cities: field_u64(v, "cities")?,
-            days: field_u64(v, "days")?,
-            shards: field_u64(v, "shards")?,
-            pages_per_day_milli: field_u64(v, "pages_per_day_milli")?,
-        })
     }
 }
 
@@ -598,70 +514,15 @@ pub struct TelemetrySpec {
     pub population: Option<PopulationSpec>,
 }
 
-impl TelemetrySpec {
-    fn to_json(self) -> Json {
-        Json::Obj(vec![
-            ("seed".into(), Json::u64(self.seed)),
-            ("days".into(), Json::u64(self.days)),
-            (
-                "pages_per_day_milli".into(),
-                Json::u64(self.pages_per_day_milli),
-            ),
-            ("fault_storm".into(), Json::Bool(self.fault_storm)),
-            (
-                "collector".into(),
-                match self.collector {
-                    Some(c) => c.to_json(),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "storage".into(),
-                match self.storage {
-                    Some(s) => s.to_json(),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "population".into(),
-                match self.population {
-                    Some(p) => p.to_json(),
-                    None => Json::Null,
-                },
-            ),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, ScenarioError> {
-        // Tolerate a missing key so artifacts saved before the collector
-        // dimension existed still replay (under the generous budget).
-        let collector = match v.get("collector") {
-            None | Some(Json::Null) => None,
-            Some(c) => Some(CollectorSpec::from_json(c)?),
-        };
-        // Same tolerance for the storage dimension (PR 7): pre-storage
-        // artifacts replay as non-persistent campaigns.
-        let storage = match v.get("storage") {
-            None | Some(Json::Null) => None,
-            Some(s) => Some(StorageFaultSpec::from_json(s)?),
-        };
-        // And for the population dimension (PR 9): pre-population
-        // artifacts replay without the scaled sub-campaign.
-        let population = match v.get("population") {
-            None | Some(Json::Null) => None,
-            Some(p) => Some(PopulationSpec::from_json(p)?),
-        };
-        Ok(TelemetrySpec {
-            seed: field_u64(v, "seed")?,
-            days: field_u64(v, "days")?,
-            pages_per_day_milli: field_u64(v, "pages_per_day_milli")?,
-            fault_storm: field_bool(v, "fault_storm")?,
-            collector,
-            storage,
-            population,
-        })
-    }
-}
+fields!(TelemetrySpec {
+    seed,
+    days,
+    pages_per_day_milli,
+    fault_storm,
+    collector,
+    storage,
+    population
+});
 
 /// A complete generated scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -682,6 +543,19 @@ pub struct Scenario {
     /// simulation, checked by the fairness oracle.
     pub flow_mix: Option<FlowMixSpec>,
 }
+
+fields!(Scenario {
+    seed,
+    horizon_ms,
+    routers,
+    clients,
+    faults,
+    telemetry,
+    flow_mix
+});
+
+/// The key of a scenario document's format version, its first key.
+const VERSION: &str = "version";
 
 /// Why a scenario document failed to load.
 #[derive(Debug, Clone, PartialEq)]
@@ -706,68 +580,20 @@ impl std::error::Error for ScenarioError {}
 impl Scenario {
     /// Serialises to a compact JSON document.
     pub fn to_json(&self) -> String {
-        let mut fields = vec![
-            ("version".into(), Json::u64(1)),
-            ("seed".into(), Json::u64(self.seed)),
-            ("horizon_ms".into(), Json::u64(self.horizon_ms)),
-            ("routers".into(), Json::u64(self.routers as u64)),
-            (
-                "clients".into(),
-                Json::Arr(self.clients.iter().map(|c| c.to_json()).collect()),
-            ),
-            (
-                "faults".into(),
-                Json::Arr(self.faults.iter().map(|f| f.to_json()).collect()),
-            ),
-        ];
-        match self.telemetry {
-            Some(t) => fields.push(("telemetry".into(), t.to_json())),
-            None => fields.push(("telemetry".into(), Json::Null)),
+        let mut doc = vec![(VERSION.into(), Json::u64(1))];
+        if let Json::Obj(fields) = Field::to_json(self) {
+            doc.extend(fields);
         }
-        match &self.flow_mix {
-            Some(m) => fields.push(("flow_mix".into(), m.to_json())),
-            None => fields.push(("flow_mix".into(), Json::Null)),
-        }
-        Json::Obj(fields).render()
+        Json::Obj(doc).render()
     }
 
     /// Loads a scenario from its JSON document.
     pub fn from_json(text: &str) -> Result<Self, ScenarioError> {
         let doc = parse(text).map_err(ScenarioError::Json)?;
-        if field_u64(&doc, "version")? != 1 {
+        if u64::get(&doc, VERSION)? != 1 {
             return Err(ScenarioError::Field("unsupported version"));
         }
-        let clients = field(&doc, "clients")?
-            .as_arr()
-            .ok_or(ScenarioError::Field("clients must be an array"))?
-            .iter()
-            .map(ClientSpec::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let faults = field(&doc, "faults")?
-            .as_arr()
-            .ok_or(ScenarioError::Field("faults must be an array"))?
-            .iter()
-            .map(FaultSpec::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let telemetry = match field(&doc, "telemetry")? {
-            Json::Null => None,
-            v => Some(TelemetrySpec::from_json(v)?),
-        };
-        // Tolerate a missing key so artifacts saved before the fairness
-        // dimension existed still replay (without the coexistence run).
-        let flow_mix = match doc.get("flow_mix") {
-            None | Some(Json::Null) => None,
-            Some(m) => Some(FlowMixSpec::from_json(m)?),
-        };
-        let scenario = Scenario {
-            seed: field_u64(&doc, "seed")?,
-            horizon_ms: field_u64(&doc, "horizon_ms")?,
-            routers: field_usize(&doc, "routers")?,
-            clients,
-            faults,
-            telemetry,
-            flow_mix,
-        };
+        let scenario = <Self as Field>::from_json(&doc)?;
         scenario.validate()?;
         Ok(scenario)
     }
@@ -815,26 +641,6 @@ pub(crate) fn parse_algo(label: &str) -> Result<CcAlgorithm, ScenarioError> {
         .into_iter()
         .find(|a| a.label().eq_ignore_ascii_case(label))
         .ok_or(ScenarioError::Field("unknown congestion-control label"))
-}
-
-pub(crate) fn field<'a>(v: &'a Json, key: &'static str) -> Result<&'a Json, ScenarioError> {
-    v.get(key).ok_or(ScenarioError::Field(key))
-}
-
-pub(crate) fn field_u64(v: &Json, key: &'static str) -> Result<u64, ScenarioError> {
-    field(v, key)?.as_u64().ok_or(ScenarioError::Field(key))
-}
-
-pub(crate) fn field_usize(v: &Json, key: &'static str) -> Result<usize, ScenarioError> {
-    field(v, key)?.as_usize().ok_or(ScenarioError::Field(key))
-}
-
-pub(crate) fn field_bool(v: &Json, key: &'static str) -> Result<bool, ScenarioError> {
-    field(v, key)?.as_bool().ok_or(ScenarioError::Field(key))
-}
-
-pub(crate) fn field_str<'a>(v: &'a Json, key: &'static str) -> Result<&'a str, ScenarioError> {
-    field(v, key)?.as_str().ok_or(ScenarioError::Field(key))
 }
 
 #[cfg(test)]
@@ -1040,5 +846,166 @@ mod tests {
             assert_eq!(parse_algo(algo.label()).unwrap(), algo);
         }
         assert!(parse_algo("quic").is_err());
+    }
+
+    /// Two documents that between them hold every workload kind, every
+    /// fault kind, each telemetry sub-spec present and absent, and a flow
+    /// mix present and absent.
+    fn every_variant() -> [Scenario; 2] {
+        let link = |delay_us, rate_kbps| LinkSpec {
+            delay_us,
+            rate_kbps,
+            loss_ppm: 250,
+            queue_bytes: 48_000,
+        };
+        let client = |workload| ClientSpec {
+            up: link(7_000, 3_000),
+            down: link(9_000, 20_000),
+            workload,
+        };
+        let first = Scenario {
+            seed: 0x5EED_0036,
+            horizon_ms: 9_000,
+            routers: 3,
+            clients: vec![
+                client(Workload::TcpBulk {
+                    algo: CcAlgorithm::Vegas,
+                    total_bytes: 400_000,
+                    start_ms: 50,
+                }),
+                client(Workload::TcpStream {
+                    algo: CcAlgorithm::Bbr2,
+                    start_ms: 10,
+                    stop_ms: 8_000,
+                }),
+                client(Workload::UdpBlast {
+                    rate_kbps: 1_200,
+                    payload: 1_000,
+                    stop_ms: 6_000,
+                }),
+                client(Workload::Ping {
+                    count: 12,
+                    interval_ms: 500,
+                    size: 84,
+                }),
+            ],
+            faults: vec![
+                FaultSpec::AccessFlap {
+                    client: 0,
+                    up: true,
+                    start_ms: 500,
+                    end_ms: 4_500,
+                    period_ms: 1_000,
+                    down_ppm: 20_000,
+                },
+                FaultSpec::AccessCorruption {
+                    client: 1,
+                    up: false,
+                    start_ms: 1_000,
+                    duration_ms: 300,
+                    prob_ppm: 50_000,
+                },
+                FaultSpec::AccessFade {
+                    client: 3,
+                    start_ms: 2_000,
+                    duration_ms: 1_500,
+                    condition_code: 6,
+                },
+                FaultSpec::BackboneOutage {
+                    hop: 1,
+                    start_ms: 3_000,
+                    duration_ms: 200,
+                },
+                FaultSpec::RouterBlackout {
+                    router: 2,
+                    start_ms: 5_000,
+                    duration_ms: 100,
+                },
+            ],
+            telemetry: Some(TelemetrySpec {
+                seed: 7,
+                days: 3,
+                pages_per_day_milli: 4_250,
+                fault_storm: false,
+                collector: Some(CollectorSpec {
+                    session_rate_milli: 1_500,
+                    session_burst: 3,
+                    queue_batches: 8,
+                    global_bytes: 64_000,
+                    drain_bytes_per_sec: 9_000,
+                }),
+                storage: None,
+                population: Some(PopulationSpec {
+                    seed: 11,
+                    users: 120,
+                    cities: 30,
+                    days: 1,
+                    shards: 2,
+                    pages_per_day_milli: 3_000,
+                }),
+            }),
+            flow_mix: Some(FlowMixSpec {
+                seed: 0xFA1E_0036,
+                mix: vec![CcAlgorithm::Veno, CcAlgorithm::Cubic],
+                bottleneck_kbps: 6_000,
+                queue_bytes: 16_000,
+                access_delay_us: 12_000,
+                duration_ms: 2_000,
+            }),
+        };
+        let mut second = first.clone();
+        second.telemetry = Some(TelemetrySpec {
+            fault_storm: true,
+            collector: None,
+            storage: Some(StorageFaultSpec {
+                seed: 5,
+                torn_writes: 1,
+                bit_rots: 0,
+                enospc: 1,
+                crashes: 2,
+                retain: 3,
+            }),
+            population: None,
+            ..first.telemetry.unwrap()
+        });
+        second.flow_mix = None;
+        [first, second]
+    }
+
+    /// The bytes [`every_variant`] renders, frozen: saved artefacts
+    /// depend on every key, on the key order and on each value's form.
+    const EVERY_VARIANT_BYTES: [&str; 2] = [
+        r#"{"version":1,"seed":1592590390,"horizon_ms":9000,"routers":3,"clients":[{"up":{"delay_us":7000,"rate_kbps":3000,"loss_ppm":250,"queue_bytes":48000},"down":{"delay_us":9000,"rate_kbps":20000,"loss_ppm":250,"queue_bytes":48000},"workload":{"kind":"tcp_bulk","algo":"VEGAS","total_bytes":400000,"start_ms":50}},{"up":{"delay_us":7000,"rate_kbps":3000,"loss_ppm":250,"queue_bytes":48000},"down":{"delay_us":9000,"rate_kbps":20000,"loss_ppm":250,"queue_bytes":48000},"workload":{"kind":"tcp_stream","algo":"BBR2","start_ms":10,"stop_ms":8000}},{"up":{"delay_us":7000,"rate_kbps":3000,"loss_ppm":250,"queue_bytes":48000},"down":{"delay_us":9000,"rate_kbps":20000,"loss_ppm":250,"queue_bytes":48000},"workload":{"kind":"udp_blast","rate_kbps":1200,"payload":1000,"stop_ms":6000}},{"up":{"delay_us":7000,"rate_kbps":3000,"loss_ppm":250,"queue_bytes":48000},"down":{"delay_us":9000,"rate_kbps":20000,"loss_ppm":250,"queue_bytes":48000},"workload":{"kind":"ping","count":12,"interval_ms":500,"size":84}}],"faults":[{"kind":"access_flap","client":0,"up":true,"start_ms":500,"end_ms":4500,"period_ms":1000,"down_ppm":20000},{"kind":"access_corruption","client":1,"up":false,"start_ms":1000,"duration_ms":300,"prob_ppm":50000},{"kind":"access_fade","client":3,"start_ms":2000,"duration_ms":1500,"condition_code":6},{"kind":"backbone_outage","hop":1,"start_ms":3000,"duration_ms":200},{"kind":"router_blackout","router":2,"start_ms":5000,"duration_ms":100}],"telemetry":{"seed":7,"days":3,"pages_per_day_milli":4250,"fault_storm":false,"collector":{"session_rate_milli":1500,"session_burst":3,"queue_batches":8,"global_bytes":64000,"drain_bytes_per_sec":9000},"storage":null,"population":{"seed":11,"users":120,"cities":30,"days":1,"shards":2,"pages_per_day_milli":3000}},"flow_mix":{"seed":4196270134,"mix":["VENO","CUBIC"],"bottleneck_kbps":6000,"queue_bytes":16000,"access_delay_us":12000,"duration_ms":2000}}"#,
+        r#"{"version":1,"seed":1592590390,"horizon_ms":9000,"routers":3,"clients":[{"up":{"delay_us":7000,"rate_kbps":3000,"loss_ppm":250,"queue_bytes":48000},"down":{"delay_us":9000,"rate_kbps":20000,"loss_ppm":250,"queue_bytes":48000},"workload":{"kind":"tcp_bulk","algo":"VEGAS","total_bytes":400000,"start_ms":50}},{"up":{"delay_us":7000,"rate_kbps":3000,"loss_ppm":250,"queue_bytes":48000},"down":{"delay_us":9000,"rate_kbps":20000,"loss_ppm":250,"queue_bytes":48000},"workload":{"kind":"tcp_stream","algo":"BBR2","start_ms":10,"stop_ms":8000}},{"up":{"delay_us":7000,"rate_kbps":3000,"loss_ppm":250,"queue_bytes":48000},"down":{"delay_us":9000,"rate_kbps":20000,"loss_ppm":250,"queue_bytes":48000},"workload":{"kind":"udp_blast","rate_kbps":1200,"payload":1000,"stop_ms":6000}},{"up":{"delay_us":7000,"rate_kbps":3000,"loss_ppm":250,"queue_bytes":48000},"down":{"delay_us":9000,"rate_kbps":20000,"loss_ppm":250,"queue_bytes":48000},"workload":{"kind":"ping","count":12,"interval_ms":500,"size":84}}],"faults":[{"kind":"access_flap","client":0,"up":true,"start_ms":500,"end_ms":4500,"period_ms":1000,"down_ppm":20000},{"kind":"access_corruption","client":1,"up":false,"start_ms":1000,"duration_ms":300,"prob_ppm":50000},{"kind":"access_fade","client":3,"start_ms":2000,"duration_ms":1500,"condition_code":6},{"kind":"backbone_outage","hop":1,"start_ms":3000,"duration_ms":200},{"kind":"router_blackout","router":2,"start_ms":5000,"duration_ms":100}],"telemetry":{"seed":7,"days":3,"pages_per_day_milli":4250,"fault_storm":true,"collector":null,"storage":{"seed":5,"torn_writes":1,"bit_rots":0,"enospc":1,"crashes":2,"retain":3},"population":null},"flow_mix":null}"#,
+    ];
+
+    #[test]
+    fn every_variant_renders_the_parent_bytes() {
+        for (s, bytes) in every_variant().into_iter().zip(EVERY_VARIANT_BYTES) {
+            assert_eq!(s.to_json(), bytes);
+            assert_eq!(Scenario::from_json(bytes).unwrap(), s);
+        }
+    }
+
+    #[test]
+    fn out_of_range_integers_are_refused() {
+        // 259 would truncate to 3, a valid weather code, and replay a
+        // different fade; 2^32 + 30 would truncate to 30 cities.
+        let [first, _] = every_variant();
+        let text = first.to_json();
+        for (from, to, key) in [
+            (
+                "\"condition_code\":6",
+                "\"condition_code\":259",
+                "condition_code",
+            ),
+            ("\"cities\":30", "\"cities\":4294967326", "cities"),
+        ] {
+            assert!(text.contains(from));
+            assert_eq!(
+                Scenario::from_json(&text.replace(from, to)),
+                Err(ScenarioError::Field(key))
+            );
+        }
     }
 }
