@@ -28,8 +28,8 @@ use crate::ingest::{Collector, IngestOptions, QuarantinedBatch, ResilientCampaig
 use crate::pipeline::CampaignConfig;
 use crate::server::AdmissionConfig;
 use crate::wire::{
-    decode_page, decode_speedtest, encode_page, encode_speedtest, WireError, WireReader,
-    WireWriter, PAGE_RECORD_LEN, SPEEDTEST_RECORD_LEN,
+    take_pages, take_speedtests, WireError, WireReader, WireWriter, PAGE_RECORD_LEN,
+    SPEEDTEST_RECORD_LEN,
 };
 use starlink_simcore::{SimRng, SimTime};
 use std::fmt;
@@ -121,7 +121,8 @@ fn intern_reason(code: &str) -> Result<&'static str, WireError> {
 
 /// Serialises the collector's complete state (dedup set, records,
 /// quarantine) — shared by the campaign blob and the standalone server
-/// blob so the two formats cannot drift.
+/// blob so the two formats cannot drift. The collector keeps its records
+/// in wire form, so each record region is written as one slice.
 fn put_collector(w: &mut WireWriter, c: &Collector) {
     w.u32(c.seen.len() as u32);
     for &(user, seq) in &c.seen {
@@ -129,14 +130,10 @@ fn put_collector(w: &mut WireWriter, c: &Collector) {
         w.u64(seq);
     }
     w.u64(c.duplicates);
-    w.u32(c.pages.len() as u32);
-    for p in &c.pages {
-        encode_page(w, p);
-    }
-    w.u32(c.speedtests.len() as u32);
-    for s in &c.speedtests {
-        encode_speedtest(w, s);
-    }
+    w.u32((c.pages.len() / PAGE_RECORD_LEN) as u32);
+    w.bytes(&c.pages);
+    w.u32((c.speedtests.len() / SPEEDTEST_RECORD_LEN) as u32);
+    w.bytes(&c.speedtests);
     w.u32(c.quarantine.len() as u32);
     for q in &c.quarantine {
         w.str(q.reason_code);
@@ -168,38 +165,49 @@ fn collector_len(c: &Collector) -> usize {
                 + 8
         })
         .sum();
-    4 + c.seen.len() * 16
-        + 8
-        + 4
-        + c.pages.len() * PAGE_RECORD_LEN
-        + 4
-        + c.speedtests.len() * SPEEDTEST_RECORD_LEN
-        + 4
-        + quarantine
+    4 + c.seen.len() * 16 + 8 + 4 + c.pages.len() + 4 + c.speedtests.len() + 4 + quarantine
 }
 
-/// Inverse of [`put_collector`].
+/// Takes `count` records of `len` bytes through `take` into one vector,
+/// a block at a time, so that each block is still in cache when it is
+/// copied.
+fn copy_records(
+    r: &mut WireReader<'_>,
+    count: usize,
+    len: usize,
+    take: for<'a> fn(&mut WireReader<'a>, usize) -> Result<&'a [u8], WireError>,
+) -> Result<Vec<u8>, WireError> {
+    const BLOCK: usize = 512;
+    let mut out = Vec::with_capacity(count.min(r.remaining() / len) * len);
+    let mut left = count;
+    while left > 0 {
+        let n = left.min(BLOCK);
+        out.extend_from_slice(take(r, n)?);
+        left -= n;
+    }
+    Ok(out)
+}
+
+/// Inverse of [`put_collector`]. Each record region is checked a record
+/// at a time, in order, and copied a block of checked records at a time;
+/// a count is only trusted as far as the bytes left could hold it.
 fn get_collector(r: &mut WireReader<'_>) -> Result<Collector, CheckpointError> {
     let mut c = Collector::new();
     let seen = r.u32()? as usize;
+    let mut pairs = Vec::with_capacity(seen.min(r.remaining() / 16));
     for _ in 0..seen {
         let user = r.u64()?;
         let seq = r.u64()?;
-        c.seen.insert((user, seq));
+        pairs.push((user, seq));
     }
+    // The pairs were written in order, so the set is built in one pass
+    // rather than by an insert per pair.
+    c.seen = pairs.into_iter().collect();
     c.duplicates = r.u64()?;
-    // A count is only trusted as far as the bytes left could hold it.
     let pages = r.u32()? as usize;
-    c.pages.reserve(pages.min(r.remaining() / PAGE_RECORD_LEN));
-    for _ in 0..pages {
-        c.pages.push(decode_page(r)?);
-    }
+    c.pages = copy_records(r, pages, PAGE_RECORD_LEN, take_pages)?;
     let speedtests = r.u32()? as usize;
-    c.speedtests
-        .reserve(speedtests.min(r.remaining() / SPEEDTEST_RECORD_LEN));
-    for _ in 0..speedtests {
-        c.speedtests.push(decode_speedtest(r)?);
-    }
+    c.speedtests = copy_records(r, speedtests, SPEEDTEST_RECORD_LEN, take_speedtests)?;
     let quarantined = r.u32()? as usize;
     for _ in 0..quarantined {
         let code = r.str()?;

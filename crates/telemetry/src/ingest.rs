@@ -37,11 +37,13 @@
 
 use crate::client::{ServerReply, SessionClient};
 use crate::pipeline::{Campaign, CampaignConfig};
-use crate::records::{Dataset, PageRecord, SpeedtestRecord};
+use crate::records::Dataset;
 use crate::retry::RetryPolicy;
 use crate::server::{AdmissionConfig, CollectorServer};
 use crate::slcs::AckStatus;
-use crate::wire::{decode_batch, encode_batch, peek_header, RecordBatch, WireError};
+use crate::wire::{
+    decode_pages, decode_speedtests, encode_batch, peek_header, BatchView, RecordBatch, WireError,
+};
 use starlink_faults::{CompiledPlan, FaultPlan, LinkRef};
 use starlink_netsim::{FaultEffect, LinkConfig, Network, NodeId, NodeKind};
 use starlink_simcore::{SimDuration, SimRng, SimTime};
@@ -222,11 +224,18 @@ pub struct QuarantinedBatch {
 /// already-accepted batch is reported (and counted) as a duplicate, not
 /// ingested twice. Malformed uploads are never silently dropped — each
 /// one becomes a [`QuarantinedBatch`] carrying the typed decode error.
+///
+/// Accepted records are kept in their checked wire form, the bytes the
+/// batch carried them in; [`Collector::dataset`] is the one place they
+/// are decoded.
 #[derive(Debug, Clone, Default)]
 pub struct Collector {
     pub(crate) seen: BTreeSet<(u64, u64)>,
-    pub(crate) pages: Vec<PageRecord>,
-    pub(crate) speedtests: Vec<SpeedtestRecord>,
+    /// Accepted page records, `PAGE_RECORD_LEN` bytes each, in arrival
+    /// order.
+    pub(crate) pages: Vec<u8>,
+    /// Accepted speedtest records, `SPEEDTEST_RECORD_LEN` bytes each.
+    pub(crate) speedtests: Vec<u8>,
     pub(crate) duplicates: u64,
     pub(crate) quarantine: Vec<QuarantinedBatch>,
 }
@@ -239,16 +248,16 @@ impl Collector {
 
     /// Ingests one upload, returning what happened to it.
     pub fn submit(&mut self, bytes: &[u8], at: SimTime) -> Ingested {
-        match decode_batch(bytes) {
+        match BatchView::open(bytes) {
             Ok(batch) => {
+                let (p, s) = (batch.page_count() as u64, batch.speedtest_count() as u64);
                 if !self.seen.insert((batch.user, batch.seq)) {
-                    self.duplicates += batch.len() as u64;
+                    self.duplicates += p + s;
                     starlink_obsv::counter_add("telemetry.ingest.duplicates", 1);
                     return Ingested::Duplicate;
                 }
-                let (p, s) = (batch.pages.len() as u64, batch.speedtests.len() as u64);
-                self.pages.extend(batch.pages);
-                self.speedtests.extend(batch.speedtests);
+                self.pages.extend_from_slice(batch.pages);
+                self.speedtests.extend_from_slice(batch.speedtests);
                 starlink_obsv::counter_add("telemetry.ingest.accepted", 1);
                 starlink_obsv::counter_add("telemetry.ingest.records", p + s);
                 Ingested::Accepted {
@@ -288,11 +297,13 @@ impl Collector {
         &self.quarantine
     }
 
-    /// The accepted records as a canonically-sorted [`Dataset`].
+    /// The accepted records, decoded, as a canonically-sorted
+    /// [`Dataset`].
     pub fn dataset(&self) -> Dataset {
+        let checked = "accepted records were checked on their way in";
         let mut ds = Dataset {
-            pages: self.pages.clone(),
-            speedtests: self.speedtests.clone(),
+            pages: decode_pages(&self.pages).expect(checked),
+            speedtests: decode_speedtests(&self.speedtests).expect(checked),
         };
         ds.sort_canonical();
         ds

@@ -199,15 +199,13 @@ impl Dataset {
     /// the dataset's current order. Two datasets with equal digests after
     /// `Dataset::sort_canonical` are byte-identical.
     pub fn digest(&self) -> u64 {
-        let mut w = crate::wire::WireWriter::new();
+        let mut hash = StreamingDigest::new();
         for r in &self.pages {
-            crate::wire::encode_page(&mut w, r);
+            hash.absorb_bytes(&crate::wire::encode_page(r));
         }
         for r in &self.speedtests {
-            crate::wire::encode_speedtest(&mut w, r);
+            hash.absorb_bytes(&crate::wire::encode_speedtest(r));
         }
-        let mut hash = StreamingDigest::new();
-        hash.absorb_bytes(&w.into_bytes());
         hash.absorb_u64(self.pages.len() as u64);
         hash.absorb_u64(self.speedtests.len() as u64);
         hash.value()
@@ -347,6 +345,54 @@ mod tests {
         b.sort_canonical();
         assert_eq!(a.digest(), b.digest());
         assert_eq!(a.pages, b.pages);
+    }
+
+    /// The digest absorbs each record's encoding as it is made; FNV-1a is
+    /// bytewise, so the value is the one hashing the whole dataset's
+    /// encoding in one buffer gave (pinned from that code).
+    #[test]
+    fn digest_keeps_the_whole_buffer_value() {
+        let mut ds = Dataset::default();
+        for i in 0..5u64 {
+            ds.pages.push(PageRecord {
+                user: 0x5EED_0000 + i,
+                city: City::ALL[i as usize % City::ALL.len()],
+                isp: if i % 2 == 0 {
+                    IspClass::Starlink
+                } else {
+                    IspClass::NonStarlink(starlink_channel::AccessTech::Cellular)
+                },
+                at: SimTime::from_secs(86_400 * i + 7),
+                rank: 10 + i * 331,
+                ptt: PttBreakdown {
+                    redirect_ms: 0.5 * i as f64,
+                    dns_ms: 20.25,
+                    connect_ms: 31.0 + i as f64,
+                    tls_ms: 40.0,
+                    request_ms: 100.125,
+                    response_ms: 60.5,
+                },
+                plt_ms: 900.0 + i as f64,
+                exit_as: match i % 3 {
+                    0 => None,
+                    1 => Some(ExitAs::Google),
+                    _ => Some(ExitAs::SpaceX),
+                },
+                weather: WeatherCondition::ALL[i as usize % WeatherCondition::ALL.len()],
+            });
+        }
+        for i in 0..3u64 {
+            ds.speedtests.push(SpeedtestRecord {
+                user: 0x5EED_0000 + i,
+                city: City::ALL[(i as usize * 3) % City::ALL.len()],
+                starlink: i != 1,
+                at_secs: 1_000 + i,
+                downlink_mbps: 101.5 + i as f64,
+                uplink_mbps: 11.25,
+            });
+        }
+        assert_eq!(ds.digest(), 0xd413_7dae_d914_3888);
+        assert_eq!(Dataset::default().digest(), 0x8820_1fb9_60ff_6465);
     }
 
     #[test]

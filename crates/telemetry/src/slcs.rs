@@ -33,11 +33,14 @@
 //! The frame CRC, checked here by [`parse_frame`], guards the hop: bytes
 //! damaged in transit are shed as [`ShedReason::BadFrame`] before
 //! admission spends a token on them. The SLTB CRC inside the payload is
-//! checked by [`crate::wire::decode_batch`] once the batch is admitted,
-//! and is what quarantines a payload that was already damaged when the
-//! client sealed a sound frame around it. [`parse_frame`] hands the
-//! payload on as a slice of the received buffer, so the second check
-//! reads the bytes where the first left them — no copy in between.
+//! checked, with each record's domain bytes, by the crate's batch view
+//! (`wire::BatchView::open`) once the batch is admitted, and is what
+//! quarantines a payload that was already damaged when the client sealed
+//! a sound frame around it. [`parse_frame`] hands the payload on as a
+//! slice of the received buffer, so the second check reads the bytes
+//! where the first left them — no copy in between. The collector keeps
+//! the records it accepts in that same wire form, and decodes them only
+//! when [`crate::ingest::Collector::dataset`] is asked for.
 //!
 //! REJECT reasons are [`ShedReason`]s; the wire code is the reason's
 //! trace-digest tag, so the admission log and the protocol can never

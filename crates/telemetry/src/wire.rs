@@ -47,9 +47,9 @@ const VERSION: u16 = 1;
 /// Size of the fixed batch header (magic through record counts).
 const HEADER_LEN: usize = 4 + 2 + 2 + 8 + 8 + 4 + 4;
 /// Encoded size of one [`PageRecord`].
-pub(crate) const PAGE_RECORD_LEN: usize = 8 + 1 + 1 + 8 + 8 + 6 * 8 + 8 + 1 + 1;
+pub(crate) const PAGE_RECORD_LEN: usize = page_at::LEN;
 /// Encoded size of one [`SpeedtestRecord`].
-pub(crate) const SPEEDTEST_RECORD_LEN: usize = 8 + 1 + 1 + 8 + 8 + 8;
+pub(crate) const SPEEDTEST_RECORD_LEN: usize = speedtest_at::LEN;
 
 /// Why a batch failed to decode. Every variant is a machine-readable
 /// quarantine reason; [`WireError::code`] gives the stable short name.
@@ -425,17 +425,12 @@ mod clmul {
 // ---------------------------------------------------------------------
 
 /// Append-only encoder over a byte vector.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct WireWriter {
     buf: Vec<u8>,
 }
 
 impl WireWriter {
-    /// A fresh writer.
-    pub fn new() -> Self {
-        WireWriter::default()
-    }
-
     /// A sealed format's writer, `len` bytes long once sealed (CRC
     /// included), holding the envelope's `magic` and `version` preamble;
     /// [`WireWriter::seal`] writes the other half.
@@ -446,11 +441,6 @@ impl WireWriter {
         w.bytes(&magic);
         w.u16(version);
         w
-    }
-
-    /// The bytes written so far.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
     }
 
     /// Writes raw bytes.
@@ -646,83 +636,244 @@ fn exit_as_from_code(code: u8) -> Result<Option<ExitAs>, WireError> {
     }
 }
 
-/// Encodes one page record (fixed [`PAGE_RECORD_LEN`] bytes).
-pub(crate) fn encode_page(w: &mut WireWriter, r: &PageRecord) {
-    w.u64(r.user);
-    w.u8(r.city.code());
-    w.u8(isp_code(r.isp));
-    w.u64(r.at.as_nanos());
-    w.u64(r.rank);
-    w.f64(r.ptt.redirect_ms);
-    w.f64(r.ptt.dns_ms);
-    w.f64(r.ptt.connect_ms);
-    w.f64(r.ptt.tls_ms);
-    w.f64(r.ptt.request_ms);
-    w.f64(r.ptt.response_ms);
-    w.f64(r.plt_ms);
-    w.u8(exit_as_code(r.exit_as));
-    w.u8(r.weather.code());
+/// Where each page-record field starts in the record's
+/// [`PAGE_RECORD_LEN`]-byte wire form: the one layout that encode, decode
+/// and check share. A field runs to the next one's offset.
+mod page_at {
+    pub const USER: usize = 0;
+    pub const CITY: usize = USER + 8;
+    pub const ISP: usize = CITY + 1;
+    pub const AT: usize = ISP + 1;
+    pub const RANK: usize = AT + 8;
+    /// The six PTT components, eight bytes each, in `PttBreakdown` order.
+    pub const PTT: usize = RANK + 8;
+    pub const PLT: usize = PTT + 6 * 8;
+    pub const EXIT_AS: usize = PLT + 8;
+    pub const WEATHER: usize = EXIT_AS + 1;
+    pub const LEN: usize = WEATHER + 1;
+    /// Where each field ends, in wire order.
+    pub const ENDS: [usize; 14] = [
+        CITY,
+        ISP,
+        AT,
+        RANK,
+        PTT,
+        PTT + 8,
+        PTT + 16,
+        PTT + 24,
+        PTT + 32,
+        PTT + 40,
+        PLT,
+        EXIT_AS,
+        WEATHER,
+        LEN,
+    ];
+}
+
+/// The speedtest record's layout, as [`page_at`] is the page record's.
+mod speedtest_at {
+    pub const USER: usize = 0;
+    pub const CITY: usize = USER + 8;
+    pub const STARLINK: usize = CITY + 1;
+    pub const AT_SECS: usize = STARLINK + 1;
+    pub const DOWNLINK: usize = AT_SECS + 8;
+    pub const UPLINK: usize = DOWNLINK + 8;
+    pub const LEN: usize = UPLINK + 8;
+    /// Where each field ends, in wire order.
+    pub const ENDS: [usize; 6] = [CITY, STARLINK, AT_SECS, DOWNLINK, UPLINK, LEN];
+}
+
+fn put_u64(rec: &mut [u8], at: usize, v: u64) {
+    rec[at..at + 8].copy_from_slice(&v.to_le_bytes());
+}
+
+fn get_u64(rec: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(rec[at..at + 8].try_into().expect("a field of eight bytes"))
+}
+
+fn get_f64(rec: &[u8], at: usize) -> f64 {
+    f64::from_bits(get_u64(rec, at))
+}
+
+/// One page record's wire form.
+pub(crate) fn encode_page(r: &PageRecord) -> [u8; PAGE_RECORD_LEN] {
+    use page_at::*;
+    let mut rec = [0; PAGE_RECORD_LEN];
+    put_u64(&mut rec, USER, r.user);
+    rec[CITY] = r.city.code();
+    rec[ISP] = isp_code(r.isp);
+    put_u64(&mut rec, AT, r.at.as_nanos());
+    put_u64(&mut rec, RANK, r.rank);
+    let p = &r.ptt;
+    let ptt = [
+        p.redirect_ms,
+        p.dns_ms,
+        p.connect_ms,
+        p.tls_ms,
+        p.request_ms,
+        p.response_ms,
+    ];
+    for (i, v) in ptt.into_iter().enumerate() {
+        put_u64(&mut rec, PTT + 8 * i, v.to_bits());
+    }
+    put_u64(&mut rec, PLT, r.plt_ms.to_bits());
+    rec[EXIT_AS] = exit_as_code(r.exit_as);
+    rec[WEATHER] = r.weather.code();
+    rec
+}
+
+/// A page record's four domain bytes, decoded in wire order — city, ISP,
+/// exit AS, weather. This is the one place they are checked; checking a
+/// record without decoding it is this call, its result dropped.
+fn page_domains(
+    rec: &[u8; PAGE_RECORD_LEN],
+) -> Result<(City, IspClass, Option<ExitAs>, WeatherCondition), WireError> {
+    use page_at::*;
+    let city = City::from_code(rec[CITY]).ok_or(WireError::BadField { field: "city" })?;
+    let isp = isp_from_code(rec[ISP]).ok_or(WireError::BadField { field: "isp" })?;
+    let exit_as = exit_as_from_code(rec[EXIT_AS])?;
+    let weather = WeatherCondition::from_code(rec[WEATHER])
+        .ok_or(WireError::BadField { field: "weather" })?;
+    Ok((city, isp, exit_as, weather))
 }
 
 /// Decodes one page record.
-pub(crate) fn decode_page(r: &mut WireReader<'_>) -> Result<PageRecord, WireError> {
-    let user = r.u64()?;
-    let city = City::from_code(r.u8()?).ok_or(WireError::BadField { field: "city" })?;
-    let isp = isp_from_code(r.u8()?).ok_or(WireError::BadField { field: "isp" })?;
-    let at = SimTime::from_nanos(r.u64()?);
-    let rank = r.u64()?;
-    let ptt = PttBreakdown {
-        redirect_ms: r.f64()?,
-        dns_ms: r.f64()?,
-        connect_ms: r.f64()?,
-        tls_ms: r.f64()?,
-        request_ms: r.f64()?,
-        response_ms: r.f64()?,
-    };
-    let plt_ms = r.f64()?;
-    let exit_as = exit_as_from_code(r.u8()?)?;
-    let weather =
-        WeatherCondition::from_code(r.u8()?).ok_or(WireError::BadField { field: "weather" })?;
+fn decode_page(rec: &[u8; PAGE_RECORD_LEN]) -> Result<PageRecord, WireError> {
+    use page_at::*;
+    let (city, isp, exit_as, weather) = page_domains(rec)?;
     Ok(PageRecord {
-        user,
+        user: get_u64(rec, USER),
         city,
         isp,
-        at,
-        rank,
-        ptt,
-        plt_ms,
+        at: SimTime::from_nanos(get_u64(rec, AT)),
+        rank: get_u64(rec, RANK),
+        ptt: PttBreakdown {
+            redirect_ms: get_f64(rec, PTT),
+            dns_ms: get_f64(rec, PTT + 8),
+            connect_ms: get_f64(rec, PTT + 16),
+            tls_ms: get_f64(rec, PTT + 24),
+            request_ms: get_f64(rec, PTT + 32),
+            response_ms: get_f64(rec, PTT + 40),
+        },
+        plt_ms: get_f64(rec, PLT),
         exit_as,
         weather,
     })
 }
 
-/// Encodes one speedtest record (fixed [`SPEEDTEST_RECORD_LEN`] bytes).
-pub(crate) fn encode_speedtest(w: &mut WireWriter, r: &SpeedtestRecord) {
-    w.u64(r.user);
-    w.u8(r.city.code());
-    w.u8(u8::from(r.starlink));
-    w.u64(r.at_secs);
-    w.f64(r.downlink_mbps);
-    w.f64(r.uplink_mbps);
+/// One speedtest record's wire form.
+pub(crate) fn encode_speedtest(r: &SpeedtestRecord) -> [u8; SPEEDTEST_RECORD_LEN] {
+    use speedtest_at::*;
+    let mut rec = [0; SPEEDTEST_RECORD_LEN];
+    put_u64(&mut rec, USER, r.user);
+    rec[CITY] = r.city.code();
+    rec[STARLINK] = u8::from(r.starlink);
+    put_u64(&mut rec, AT_SECS, r.at_secs);
+    put_u64(&mut rec, DOWNLINK, r.downlink_mbps.to_bits());
+    put_u64(&mut rec, UPLINK, r.uplink_mbps.to_bits());
+    rec
 }
 
-/// Decodes one speedtest record.
-pub(crate) fn decode_speedtest(r: &mut WireReader<'_>) -> Result<SpeedtestRecord, WireError> {
-    let user = r.u64()?;
-    let city = City::from_code(r.u8()?).ok_or(WireError::BadField { field: "city" })?;
-    let starlink = match r.u8()? {
+/// A speedtest record's two domain bytes, decoded in wire order — city,
+/// then the Starlink flag. This is the one place they are checked, as
+/// [`page_domains`] is for page records.
+fn speedtest_domains(rec: &[u8; SPEEDTEST_RECORD_LEN]) -> Result<(City, bool), WireError> {
+    use speedtest_at::*;
+    let city = City::from_code(rec[CITY]).ok_or(WireError::BadField { field: "city" })?;
+    let starlink = match rec[STARLINK] {
         0 => false,
         1 => true,
         _ => return Err(WireError::BadField { field: "starlink" }),
     };
+    Ok((city, starlink))
+}
+
+/// Decodes one speedtest record.
+fn decode_speedtest(rec: &[u8; SPEEDTEST_RECORD_LEN]) -> Result<SpeedtestRecord, WireError> {
+    use speedtest_at::*;
+    let (city, starlink) = speedtest_domains(rec)?;
     Ok(SpeedtestRecord {
-        user,
+        user: get_u64(rec, USER),
         city,
         starlink,
-        at_secs: r.u64()?,
-        downlink_mbps: r.f64()?,
-        uplink_mbps: r.f64()?,
+        at_secs: get_u64(rec, AT_SECS),
+        downlink_mbps: get_f64(rec, DOWNLINK),
+        uplink_mbps: get_f64(rec, UPLINK),
     })
+}
+
+/// Takes `count` records of `N` bytes from `r` as one slice, once
+/// `check` has passed each of them in order (what it decodes is dropped).
+///
+/// When the reader runs out inside a record, the error is the one
+/// reading that record a field at a time gives (fields ending at
+/// `ends`): a bad domain byte among the bytes present, else truncation
+/// at the end of the first field they do not finish. The missing bytes
+/// stand in as zeros for `check`, which every domain accepts.
+fn take_checked<'a, T, const N: usize>(
+    r: &mut WireReader<'a>,
+    count: usize,
+    ends: &[usize],
+    check: fn(&[u8; N]) -> Result<T, WireError>,
+) -> Result<&'a [u8], WireError> {
+    let whole = count.min(r.remaining() / N);
+    let region = r.bytes(whole * N)?;
+    for rec in region.as_chunks::<N>().0 {
+        check(rec)?;
+    }
+    if whole < count {
+        // The reader runs out inside record number `whole`.
+        let have = r.remaining();
+        let mut short = [0; N];
+        short[..have].copy_from_slice(&r.buf[r.pos..]);
+        check(&short)?;
+        let end = ends.iter().copied().find(|&end| end > have).unwrap_or(N);
+        return Err(WireError::Truncated {
+            needed: r.pos + end,
+            got: r.buf.len(),
+        });
+    }
+    Ok(region)
+}
+
+/// Takes `count` checked page records from `r` (see [`take_checked`]).
+pub(crate) fn take_pages<'a>(r: &mut WireReader<'a>, count: usize) -> Result<&'a [u8], WireError> {
+    take_checked(r, count, &page_at::ENDS, page_domains)
+}
+
+/// Takes `count` checked speedtest records from `r` (see
+/// [`take_checked`]).
+pub(crate) fn take_speedtests<'a>(
+    r: &mut WireReader<'a>,
+    count: usize,
+) -> Result<&'a [u8], WireError> {
+    take_checked(r, count, &speedtest_at::ENDS, speedtest_domains)
+}
+
+/// Decodes every record of a region [`take_checked`] returned, into a
+/// vector sized once (collecting into a `Result` would grow it by
+/// doubling).
+fn decode_all<T, const N: usize>(
+    region: &[u8],
+    decode: fn(&[u8; N]) -> Result<T, WireError>,
+) -> Result<Vec<T>, WireError> {
+    let recs = region.as_chunks::<N>().0;
+    let mut out = Vec::with_capacity(recs.len());
+    for rec in recs {
+        out.push(decode(rec)?);
+    }
+    Ok(out)
+}
+
+/// Decodes a region of page records that [`take_pages`] returned.
+pub(crate) fn decode_pages(region: &[u8]) -> Result<Vec<PageRecord>, WireError> {
+    decode_all(region, decode_page)
+}
+
+/// Decodes a region of speedtest records that [`take_speedtests`]
+/// returned.
+pub(crate) fn decode_speedtests(region: &[u8]) -> Result<Vec<SpeedtestRecord>, WireError> {
+    decode_all(region, decode_speedtest)
 }
 
 // ---------------------------------------------------------------------
@@ -742,10 +893,10 @@ pub fn encode_batch(batch: &RecordBatch) -> Vec<u8> {
     w.u32(batch.pages.len() as u32);
     w.u32(batch.speedtests.len() as u32);
     for p in &batch.pages {
-        encode_page(&mut w, p);
+        w.bytes(&encode_page(p));
     }
     for s in &batch.speedtests {
-        encode_speedtest(&mut w, s);
+        w.bytes(&encode_speedtest(s));
     }
     w.seal()
 }
@@ -781,45 +932,77 @@ pub fn peek_header(bytes: &[u8]) -> PeekedHeader {
     peek
 }
 
-/// Decodes and validates a framed batch.
-///
-/// Checks run in the trust order every sealed format of this crate
-/// keeps: magic, version, the header's own fields (record counts with
-/// overflow checks), exact length (truncation and trailing garbage),
-/// checksum, then field domains. Never panics.
-pub fn decode_batch(bytes: &[u8]) -> Result<RecordBatch, WireError> {
-    let mut r = WireReader::open(bytes, MAGIC, VERSION)?;
-    let _flags = r.u16()?;
-    let user = r.u64()?;
-    let seq = r.u64()?;
-    let page_count = r.u32()? as usize;
-    let speedtest_count = r.u32()? as usize;
+/// A batch that has passed every check but is not decoded: its records
+/// stay in their wire form, as slices of the received bytes.
+#[derive(Debug)]
+pub(crate) struct BatchView<'a> {
+    /// The uploading user.
+    pub user: u64,
+    /// The upload's sequence number.
+    pub seq: u64,
+    /// The page records, [`PAGE_RECORD_LEN`] bytes each.
+    pub pages: &'a [u8],
+    /// The speedtest records, [`SPEEDTEST_RECORD_LEN`] bytes each.
+    pub speedtests: &'a [u8],
+}
 
-    let body = page_count
-        .checked_mul(PAGE_RECORD_LEN)
-        .and_then(|p| {
-            speedtest_count
-                .checked_mul(SPEEDTEST_RECORD_LEN)
-                .and_then(|s| p.checked_add(s))
+impl<'a> BatchView<'a> {
+    /// Opens and checks a framed batch.
+    ///
+    /// Checks run in the trust order every sealed format of this crate
+    /// keeps: magic, version, the header's own fields (record counts with
+    /// overflow checks), exact length (truncation and trailing garbage),
+    /// checksum, then each record's domain bytes, pages before
+    /// speedtests. Never panics.
+    pub fn open(bytes: &'a [u8]) -> Result<Self, WireError> {
+        let mut r = WireReader::open(bytes, MAGIC, VERSION)?;
+        let _flags = r.u16()?;
+        let user = r.u64()?;
+        let seq = r.u64()?;
+        let page_count = r.u32()? as usize;
+        let speedtest_count = r.u32()? as usize;
+
+        let body = page_count
+            .checked_mul(PAGE_RECORD_LEN)
+            .and_then(|p| {
+                speedtest_count
+                    .checked_mul(SPEEDTEST_RECORD_LEN)
+                    .and_then(|s| p.checked_add(s))
+            })
+            .ok_or(WireError::BadField {
+                field: "record counts",
+            })?;
+        r.check_seal(HEADER_LEN + body + 4)?;
+        Ok(BatchView {
+            user,
+            seq,
+            pages: take_pages(&mut r, page_count)?,
+            speedtests: take_speedtests(&mut r, speedtest_count)?,
         })
-        .ok_or(WireError::BadField {
-            field: "record counts",
-        })?;
-    r.check_seal(HEADER_LEN + body + 4)?;
+    }
 
-    let mut pages = Vec::with_capacity(page_count);
-    for _ in 0..page_count {
-        pages.push(decode_page(&mut r)?);
+    /// Page records carried.
+    pub fn page_count(&self) -> usize {
+        self.pages.len() / PAGE_RECORD_LEN
     }
-    let mut speedtests = Vec::with_capacity(speedtest_count);
-    for _ in 0..speedtest_count {
-        speedtests.push(decode_speedtest(&mut r)?);
+
+    /// Speedtest records carried.
+    pub fn speedtest_count(&self) -> usize {
+        self.speedtests.len() / SPEEDTEST_RECORD_LEN
     }
+}
+
+/// Decodes and validates a framed batch: the checks of the crate's
+/// batch view, in their trust order (magic, version, record counts,
+/// exact length, checksum, each record's domain bytes), then the checked
+/// records decoded. Never panics.
+pub fn decode_batch(bytes: &[u8]) -> Result<RecordBatch, WireError> {
+    let view = BatchView::open(bytes)?;
     Ok(RecordBatch {
-        user,
-        seq,
-        pages,
-        speedtests,
+        user: view.user,
+        seq: view.seq,
+        pages: decode_pages(view.pages)?,
+        speedtests: decode_speedtests(view.speedtests)?,
     })
 }
 
@@ -1013,6 +1196,14 @@ mod tests {
             "checksum-mismatch"
         );
         assert_eq!(WireError::BadMagic { found: [0; 4] }.code(), "bad-magic");
+    }
+
+    /// A record cut short is checked with zeros in place of its missing
+    /// bytes, so zero must be a valid code in every domain.
+    #[test]
+    fn an_all_zero_record_is_in_every_domain() {
+        assert!(page_domains(&[0; PAGE_RECORD_LEN]).is_ok());
+        assert!(speedtest_domains(&[0; SPEEDTEST_RECORD_LEN]).is_ok());
     }
 
     #[test]
