@@ -11,14 +11,22 @@
 //! The implementation is a hierarchical timing wheel: five levels of 64
 //! slots each, 8.192 µs per level-0 tick, with a `BTreeMap` overflow stage
 //! for events beyond the ~2.4 h wheel horizon. Scheduling is O(1); popping
-//! amortises the per-tick slot drain over the events in it. Slot vectors
-//! are drained, never freed, so the steady-state schedule/pop cycle
-//! performs no heap allocation.
+//! amortises the per-tick slot drain over the events in it.
+//!
+//! Every event filed in a bucket lives in one node store: a `Vec` of nodes,
+//! a parallel `Vec` of `u32` links that strings them into one list per
+//! bucket and a free list through the vacant ones, and one list head per
+//! bucket. A cascade re-links nodes without moving their payloads; a
+//! level-0 drain moves the payloads into the ready stage and frees the
+//! nodes. The store grows only when no node is vacant, so it never holds
+//! more nodes than the queue's peak pending count
+//! ([`EventQueue::high_watermark`]), however bursts spread over buckets,
+//! and the steady-state schedule/pop cycle performs no heap allocation.
 //!
 //! The contract it must meet is the `(time, seq)` binary-heap model kept in
 //! `tests/queue_differential.rs`, which drives the wheel and the model in
-//! lockstep (proptests plus a 100k-op soak); the unit tests below pin the
-//! ordering cases with literal expectations.
+//! lockstep (proptests, a 100k-op soak and a bursty soak); the unit tests
+//! below pin the ordering cases with literal expectations.
 //!
 //! See `DESIGN.md` §5h for the bucket geometry and the determinism
 //! argument.
@@ -75,16 +83,39 @@ fn wheel_level(cursor: u64, tick: u64) -> Option<usize> {
     (level < LEVELS).then_some(level)
 }
 
+/// End of a bucket list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One slot of the wheel's node store: a pending event linked into a
+/// bucket, or (payload `None`) a vacant node on the free list.
+struct Node<E> {
+    time: SimTime,
+    seq: u64,
+    payload: Option<E>,
+}
+
 /// The hierarchical timing wheel behind [`EventQueue`].
 ///
 /// Invariants (see DESIGN.md §5h):
-/// * every event in `slots` or `overflow` has `tick >= cursor`;
+/// * every event in a bucket or `overflow` has `tick >= cursor`;
 /// * every event in `ready` has `tick < cursor`, and `ready` is sorted
 ///   descending by `(time, seq)` so the global minimum is at the back;
+/// * every node is either in exactly one bucket list (payload `Some`) or
+///   on the free list (payload `None`), so `nodes.len()` never exceeds
+///   the peak number of events pending at once; `next.len() == nodes.len()`;
 /// * `len` counts all pending events across the three stages.
 struct Wheel<E> {
-    /// `LEVELS * SLOTS` buckets, flattened; bucket `level * SLOTS + slot`.
-    slots: Vec<Vec<(SimTime, u64, E)>>,
+    /// Every event filed in a bucket, and the vacant nodes between them.
+    nodes: Vec<Node<E>>,
+    /// `next[i]`: the node after node `i` in its bucket or in the free
+    /// list. Kept apart from `nodes` so a list walk chases 4-byte links
+    /// through a compact array and the node loads it issues overlap.
+    next: Vec<u32>,
+    /// Head of the free list threaded through the vacant nodes.
+    free: u32,
+    /// `LEVELS * SLOTS` bucket list heads, flattened; bucket
+    /// `level * SLOTS + slot`.
+    heads: [u32; LEVELS * SLOTS],
     /// Per-level occupancy bitmap: bit `s` set iff bucket `s` is non-empty.
     occupied: [u64; LEVELS],
     /// The wheel's notion of "now", in ticks.
@@ -105,7 +136,10 @@ enum Source {
 impl<E> Wheel<E> {
     fn new() -> Self {
         Wheel {
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            nodes: Vec::new(),
+            next: Vec::new(),
+            free: NIL,
+            heads: [NIL; LEVELS * SLOTS],
             occupied: [0; LEVELS],
             cursor: 0,
             ready: Vec::new(),
@@ -196,25 +230,36 @@ impl<E> Wheel<E> {
                 (start, Source::Level(level, slot)) if level > 0 => {
                     // Cascade: once the cursor reaches the slot, its
                     // events share the cursor's level-`level` slot index,
-                    // so each re-files strictly below `level`.
+                    // so each node re-links strictly below `level`. No
+                    // payload moves.
                     self.cursor = self.cursor.max(start);
-                    let idx = level * SLOTS + slot;
-                    let mut entries = std::mem::take(&mut self.slots[idx]);
+                    let mut idx = std::mem::replace(&mut self.heads[level * SLOTS + slot], NIL);
                     self.occupied[level] &= !(1 << slot);
-                    for (time, seq, payload) in entries.drain(..) {
-                        self.place_in_wheel(time, seq, payload);
+                    while idx != NIL {
+                        let next = self.next[idx as usize];
+                        let tick = tick_of(self.nodes[idx as usize].time);
+                        let lower = wheel_level(self.cursor, tick)
+                            .filter(|&l| l < level)
+                            .expect("a cascade re-files strictly below its level");
+                        self.link(idx, lower, tick);
+                        idx = next;
                     }
-                    // Hand the capacity back to the bucket.
-                    self.slots[idx] = entries;
                 }
                 (start, Source::Level(_, slot)) => {
-                    // A level-0 slot spans exactly one tick: drain it, sort
-                    // by the unique (time, seq) key, and open it for pops.
+                    // A level-0 slot spans exactly one tick: move its
+                    // payloads into `ready`, free its nodes, sort by the
+                    // unique (time, seq) key, and open it for pops.
                     self.cursor = start + 1;
-                    let mut entries = std::mem::take(&mut self.slots[slot]);
+                    let mut idx = std::mem::replace(&mut self.heads[slot], NIL);
                     self.occupied[0] &= !(1 << slot);
-                    self.ready.append(&mut entries);
-                    self.slots[slot] = entries;
+                    while idx != NIL {
+                        let node = &mut self.nodes[idx as usize];
+                        let payload = node.payload.take().expect("a filed node holds a payload");
+                        self.ready.push((node.time, node.seq, payload));
+                        let next = std::mem::replace(&mut self.next[idx as usize], self.free);
+                        self.free = idx;
+                        idx = next;
+                    }
                     self.ready
                         .sort_unstable_by_key(|e| std::cmp::Reverse((e.0, e.1)));
                     return Some(());
@@ -234,9 +279,45 @@ impl<E> Wheel<E> {
             self.overflow.insert((time.as_nanos(), seq), payload);
             return;
         };
+        let node = Node {
+            time,
+            seq,
+            payload: Some(payload),
+        };
+        // Reuse a vacant node; the store grows only when every node holds
+        // a pending event.
+        let idx = if self.free == NIL {
+            assert!(self.nodes.len() < NIL as usize, "node store full");
+            self.nodes.push(node);
+            self.next.push(NIL);
+            (self.nodes.len() - 1) as u32
+        } else {
+            let idx = self.free;
+            self.free = self.next[idx as usize];
+            self.nodes[idx as usize] = node;
+            idx
+        };
+        self.link(idx, level, tick);
+    }
+
+    /// Pushes node `idx`, firing at `tick`, onto the front of its bucket
+    /// at `level`. Order within a bucket is free: a level-0 drain sorts.
+    fn link(&mut self, idx: u32, level: usize, tick: u64) {
         let slot = ((tick >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        self.slots[level * SLOTS + slot].push((time, seq, payload));
+        let head = &mut self.heads[level * SLOTS + slot];
+        self.next[idx as usize] = *head;
+        *head = idx;
         self.occupied[level] |= 1 << slot;
+    }
+
+    /// The nodes of bucket `level * SLOTS + slot`, front to back.
+    fn bucket(&self, level: usize, slot: usize) -> impl Iterator<Item = &Node<E>> {
+        let mut idx = self.heads[level * SLOTS + slot];
+        std::iter::from_fn(move || {
+            let node = (idx != NIL).then(|| &self.nodes[idx as usize])?;
+            idx = self.next[idx as usize];
+            Some(node)
+        })
     }
 
     /// The earliest pending event, advancing the wheel if needed. The
@@ -272,8 +353,8 @@ impl<E> Wheel<E> {
         }
         for level in 0..LEVELS {
             if let Some((slot, _)) = self.first_occupied(level) {
-                for (time, seq, _) in &self.slots[level * SLOTS + slot] {
-                    consider((time.as_nanos(), *seq));
+                for node in self.bucket(level, slot) {
+                    consider((node.time.as_nanos(), node.seq));
                 }
             }
         }
@@ -284,13 +365,35 @@ impl<E> Wheel<E> {
     }
 
     fn clear(&mut self) {
-        for bucket in &mut self.slots {
-            bucket.clear();
-        }
+        // Dropping every node drops every filed payload once; the store
+        // keeps its capacity for the events that follow.
+        self.nodes.clear();
+        self.next.clear();
+        self.free = NIL;
+        self.heads = [NIL; LEVELS * SLOTS];
         self.occupied = [0; LEVELS];
         self.ready.clear();
         self.overflow.clear();
         self.len = 0;
+    }
+}
+
+#[cfg(test)]
+impl<E> Wheel<E> {
+    /// The node store's length and capacity.
+    fn node_store(&self) -> (usize, usize) {
+        (self.nodes.len(), self.nodes.capacity())
+    }
+
+    /// Pending events per stage: ready, each wheel level, overflow.
+    fn stages(&self) -> (usize, [usize; LEVELS], usize) {
+        let mut levels = [0; LEVELS];
+        for (level, count) in levels.iter_mut().enumerate() {
+            *count = (0..SLOTS)
+                .map(|slot| self.bucket(level, slot).count())
+                .sum();
+        }
+        (self.ready.len(), levels, self.overflow.len())
     }
 }
 
@@ -414,7 +517,11 @@ impl<E> EventQueue<E> {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
     use super::*;
+    use crate::rng::SimRng;
     use crate::time::SimDuration;
 
     #[test]
@@ -568,5 +675,141 @@ mod tests {
         }
         let reg = starlink_obsv::metrics_take().expect("registry was installed");
         assert_eq!(reg.gauge("simcore.queue_high_watermark"), Some(5));
+    }
+
+    /// A payload that counts its own drops in a shared tally.
+    struct Tracked {
+        id: usize,
+        drops: Rc<RefCell<Vec<u32>>>,
+    }
+
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            self.drops.borrow_mut()[self.id] += 1;
+        }
+    }
+
+    /// Fills a fresh queue with tracked payloads in every stage: the ready
+    /// stage (a part-popped tick and a past-cursor insert), all five wheel
+    /// levels and the overflow. Returns the tally.
+    fn fill_every_stage(q: &mut EventQueue<Tracked>) -> Rc<RefCell<Vec<u32>>> {
+        let drops = Rc::new(RefCell::new(Vec::new()));
+        let schedule = |q: &mut EventQueue<Tracked>, ns: u64| {
+            let id = drops.borrow().len();
+            drops.borrow_mut().push(0);
+            let drops = Rc::clone(&drops);
+            q.schedule(SimTime::from_nanos(ns), Tracked { id, drops });
+        };
+        let tick = 1u64 << TICK_SHIFT;
+        for _ in 0..3 {
+            schedule(q, 0);
+        }
+        // Popping tick 0 leaves two of its events in `ready`, cursor 1.
+        drop(q.pop());
+        schedule(q, 5); // behind the cursor: a past-cursor insert
+        for ns in [
+            2 * tick,                   // level 0
+            3 * tick,                   // level 0
+            1_000_000,                  // level 1 (122 ticks)
+            100_000_000,                // level 2
+            10_000_000_000,             // level 3
+            3_600_000_000_000,          // level 4
+            3_700_000_000_000,          // level 4
+            86_400_000_000_000,         // overflow
+            30 * 86_400_000_000_000u64, // overflow
+        ] {
+            schedule(q, ns);
+        }
+        assert_eq!(q.wheel.stages(), (3, [2, 1, 1, 1, 2], 2));
+        drops
+    }
+
+    fn assert_each_dropped_once(drops: &Rc<RefCell<Vec<u32>>>) {
+        let drops = drops.borrow();
+        assert!(drops.iter().all(|&n| n == 1), "drop counts {drops:?}");
+    }
+
+    #[test]
+    fn every_payload_is_dropped_exactly_once() {
+        // Popped: every cascade and level-0 drain hands ownership on, and
+        // the freed nodes are reused by the events filed in between.
+        let mut q = EventQueue::new();
+        let drops = fill_every_stage(&mut q);
+        let mut popped = 0;
+        while let Some(e) = q.pop() {
+            popped += 1;
+            if popped % 3 == 0 {
+                // A filed-then-popped payload riding the recycled nodes.
+                let id = drops.borrow().len();
+                drops.borrow_mut().push(0);
+                let tracked = Tracked {
+                    id,
+                    drops: Rc::clone(&drops),
+                };
+                q.schedule(e.time + SimDuration::from_millis(7), tracked);
+            }
+        }
+        assert_each_dropped_once(&drops);
+
+        // Removed by `clear`, after some pops moved events between stages.
+        let mut q = EventQueue::new();
+        let drops = fill_every_stage(&mut q);
+        drop(q.pop());
+        q.clear();
+        assert_each_dropped_once(&drops);
+
+        // Left in a queue that is dropped.
+        let mut q = EventQueue::new();
+        let drops = fill_every_stage(&mut q);
+        drop(q);
+        assert_each_dropped_once(&drops);
+    }
+
+    #[test]
+    fn node_store_stays_within_the_peak_pending_count() {
+        let mut q = EventQueue::new();
+        let mut rng = SimRng::seed_from(0xB0B5_7ACC);
+        // A 100k-event burst across every stage, dense ticks included.
+        for i in 0..100_000u64 {
+            let ns = match i % 6 {
+                0 => rng.below(4) << TICK_SHIFT,   // level 0, a few dense ticks
+                1 => rng.below(30_000_000),        // level 1
+                2 => rng.below(2_000_000_000),     // level 2
+                3 => rng.below(130_000_000_000),   // level 3
+                4 => rng.below(8_000_000_000_000), // level 4
+                _ => 9_000_000_000_000 + rng.below(1 << 50), // overflow
+            };
+            q.schedule(SimTime::from_nanos(ns), i);
+        }
+        let (_, levels, overflow) = q.wheel.stages();
+        assert!(
+            levels.iter().all(|&n| n > 0) && overflow > 0,
+            "{levels:?} {overflow}"
+        );
+        assert!(q.wheel.node_store().0 <= q.high_watermark());
+        let mut now = SimTime::ZERO;
+        while let Some(e) = q.pop() {
+            now = e.time;
+            assert!(q.wheel.node_store().0 <= q.high_watermark());
+        }
+        let capacity = q.wheel.node_store().1;
+        let ready_capacity = q.wheel.ready.capacity();
+
+        // Timer-like churn: pop one, re-arm it.
+        for i in 0..1_000u64 {
+            q.schedule(now + SimDuration::from_micros(i), i);
+        }
+        for _ in 0..1_000_000 {
+            let e = q.pop().expect("churn keeps 1 000 pending");
+            let delta = match rng.below(100) {
+                0..=79 => rng.below(2_000_000),
+                80..=94 => rng.below(200_000_000),
+                _ => rng.below(30_000_000_000),
+            };
+            q.schedule(e.time + SimDuration::from_nanos(delta), e.payload);
+            assert!(q.wheel.node_store().0 <= q.high_watermark());
+        }
+        assert_eq!(q.wheel.node_store().1, capacity, "node store grew");
+        assert_eq!(q.wheel.ready.capacity(), ready_capacity, "ready grew");
     }
 }

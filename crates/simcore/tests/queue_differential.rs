@@ -332,3 +332,74 @@ fn wheel_matches_heap_soak() {
     }
     run_differential(&ops).unwrap();
 }
+
+/// A bursty seeded soak: each phase packs tens of thousands of events
+/// into a few buckets, drains them completely, then runs sparse
+/// second-scale timers, with reservations filed behind the cursor, at the
+/// instant just popped and far ahead, and a clear now and then. Bursts
+/// fill the wheel's node store and the sparse stretch reuses it through
+/// the free list, while long timers cascade down through every level.
+#[test]
+fn wheel_matches_heap_bursty_soak() {
+    let mut rng = SimRng::seed_from(0xB0B5_7EA5);
+    let mut ops = Vec::new();
+    let mut t = 0u64;
+    for phase in 0..6u64 {
+        // The burst: a few buckets, level 0 up to level 3 wide.
+        let width = [4_096u64, 500_000, 30_000_000, 2_000_000_000][phase as usize % 4];
+        let bases: Vec<u64> = (0..3).map(|_| t + rng.below(5_000_000_000)).collect();
+        let burst = 20_000 + rng.below(20_000) as usize;
+        for i in 0..burst {
+            let base = bases[i % bases.len()];
+            ops.push(Op::Schedule(base + rng.below(width)));
+            if rng.below(50) == 0 {
+                ops.push(Op::Reserve);
+            }
+            if rng.below(80) == 0 {
+                ops.push(Op::File(rng.below(8) as usize, FileAt::Time(base)));
+            }
+        }
+        // The full drain, peeks and late filings woven in.
+        for i in 0..burst + 1_000 {
+            ops.push(Op::Pop);
+            match rng.below(200) {
+                0 => ops.push(Op::Peek),
+                1 => ops.push(Op::File(rng.below(8) as usize, FileAt::LastPop)),
+                2 => ops.push(Op::File(
+                    rng.below(8) as usize,
+                    FileAt::BeforeLastPop(rng.below(20_000)),
+                )),
+                _ => {}
+            }
+            if i % 5_000 == 0 {
+                ops.push(Op::Reserve);
+            }
+        }
+        t = bases.iter().max().unwrap() + width;
+        // The sparse stretch: a handful of second-scale timers re-armed
+        // as they fire, a few of them hours out.
+        for _ in 0..5_000 {
+            let delta = match rng.below(100) {
+                0..=89 => 1_000_000_000 + rng.below(4_000_000_000),
+                _ => rng.below(20_000_000_000_000),
+            };
+            ops.push(Op::Schedule(t + delta));
+            ops.push(Op::PopBefore(t + rng.below(3_000_000_000)));
+            match rng.below(40) {
+                0 => ops.push(Op::Reserve),
+                1 => ops.push(Op::File(rng.below(8) as usize, FileAt::LastPop)),
+                2 => ops.push(Op::File(
+                    rng.below(8) as usize,
+                    FileAt::Time(t + rng.below(10_000_000_000)),
+                )),
+                3 => ops.push(Op::Peek),
+                _ => {}
+            }
+            t += rng.below(2_000_000_000);
+        }
+        if phase % 2 == 1 {
+            ops.push(Op::Clear);
+        }
+    }
+    run_differential(&ops).unwrap();
+}
