@@ -16,8 +16,12 @@
 //! every observer in lockstep over the shared time grid, so each epoch
 //! boundary's shared state is evaluated **once** no matter how many users
 //! sweep it, and each query propagates only the satellites it could see.
+//! Between boundaries the walk skips the samples on which a bound on the
+//! serving satellite's elevation rate (`ServingBound`) proves it above the
+//! mask: on those the per-sample walk only stepped on, so every schedule
+//! is the one it gave.
 
-use crate::snapshot::SnapshotCache;
+use crate::snapshot::{SnapshotCache, PHASE_MAX_ECCENTRICITY};
 use crate::view::Constellation;
 use starlink_geo::{Geodetic, ObserverFrame};
 use starlink_simcore::{SimDuration, SimTime};
@@ -30,7 +34,12 @@ pub struct SelectionPolicy {
     /// Reconfiguration epoch: candidate changes only land on these
     /// boundaries.
     pub epoch: SimDuration,
-    /// Sampling step for detecting the serving satellite leaving the mask.
+    /// Sampling step for detecting the serving satellite leaving the mask
+    /// (at least 100 ms): the schedule reports the first sample on this
+    /// grid at which the serving satellite is below the mask. The walk
+    /// looks only at samples an elevation-rate bound cannot prove above
+    /// the mask and at the first sample of each epoch, so a finer step
+    /// costs little more while the satellite is high.
     pub sample_step: SimDuration,
     /// Proactive-switch margin, degrees: at an epoch boundary, if the
     /// serving satellite will be within this margin of the mask by the
@@ -164,24 +173,112 @@ impl BoundaryTracker {
     }
 }
 
+/// Distance the kernel's rounded position may be from the exact formula's,
+/// metres, and the slack taken off the observer's distance to the orbit for
+/// the rounding of its two radii. The kernel moves a position by well under
+/// a millimetre (see `COARSE_MARGIN_M` in the snapshot module), and each
+/// radius is a handful of operations on numbers below 10⁸ m, so a metre
+/// covers both with room to spare.
+const POSITION_MARGIN_M: f64 = 1.0;
+
+/// Elevation added to every skip's slack, degrees. A look computes
+/// `asin(up / range)` from a frame whose axes are orthonormal to a few
+/// ulps, so the ratio is within about 2·10⁻¹⁵ of the exact one; `asin` is
+/// worst conditioned at the zenith, where that moves the angle by at most
+/// `√(4·10⁻¹⁵)` rad, below 4·10⁻⁶°. Two looks (the one that proves and the
+/// one it stands in for) and the rounding of `k · step · ρ` (a few ulps of
+/// at most 180°) stay far inside 10⁻⁴°.
+const LOOK_MARGIN_DEG: f64 = 1e-4;
+
+/// How fast the serving satellite can move in an observer's sky: the
+/// bound that lets a schedule skip samples it has proven visible.
+///
+/// Let `d` be the observer→satellite vector of the exact orbit. Its
+/// direction turns at `|ḋ_⊥| / |d| ≤ |v| / |d|` rad/s, and the elevation,
+/// the angle between that direction and the observer's fixed up axis, can
+/// change no faster than the direction turns. The speed is at most
+/// [`Propagator::speed_bound_m_per_s`](starlink_tle::Propagator::speed_bound_m_per_s),
+/// and `|d| ≥ a(1 − |e|) − |observer|`. So a look that finds the satellite
+/// `m` degrees above the mask proves every sample up to `k` steps later
+/// above it while `k · step · ρ ≤ m − slack`: the slack covers the two
+/// looks' rounding ([`LOOK_MARGIN_DEG`]) and the angle a rounded position
+/// can be off by, `asin(η / |d|) ≤ 2η / |d|` for `η` =
+/// [`POSITION_MARGIN_M`] at `|d| ≥ 2η`.
+///
+/// No bound is claimed (`ρ = ∞`, every sample looked at) for an
+/// eccentricity past [`PHASE_MAX_ECCENTRICITY`], where the kernel's Newton
+/// solve is not proven converged; for radii that are not finite; or for an
+/// observer at or above the orbit's perigee radius (less the margins).
+#[derive(Debug, Clone, Copy)]
+struct ServingBound {
+    /// `ρ`, degrees per second.
+    rate_deg_per_s: f64,
+    /// Degrees a skip keeps back from the margin above the mask.
+    slack_deg: f64,
+}
+
+impl ServingBound {
+    /// Proves nothing: every sample is looked at.
+    const NONE: ServingBound = ServingBound {
+        rate_deg_per_s: f64::INFINITY,
+        slack_deg: 0.0,
+    };
+
+    /// The bound for satellite `sat` seen from an observer `observer_radius_m`
+    /// from the Earth's centre.
+    fn new(constellation: &Constellation, sat: usize, observer_radius_m: f64) -> Self {
+        let orbit = constellation.propagators.satellite(sat);
+        let (r_lo, r_hi) = orbit.radius_bounds_m();
+        let d_min = r_lo - observer_radius_m - POSITION_MARGIN_M;
+        let bounded = orbit.eccentricity().abs() <= PHASE_MAX_ECCENTRICITY
+            && r_lo.is_finite()
+            && r_hi.is_finite()
+            && d_min >= POSITION_MARGIN_M;
+        if !bounded {
+            return ServingBound::NONE;
+        }
+        ServingBound {
+            rate_deg_per_s: (orbit.speed_bound_m_per_s() / d_min).to_degrees(),
+            // Two looks, each at a position off by at most 2η / |d| rad.
+            slack_deg: LOOK_MARGIN_DEG + (4.0 * POSITION_MARGIN_M / d_min).to_degrees(),
+        }
+    }
+
+    /// The largest `k` with `k · step_s · ρ ≤ margin_deg − slack`: samples
+    /// `1..=k` after a look that found the satellite `margin_deg` above
+    /// the mask are above it too. Zero when nothing is proven (a NaN or
+    /// negative quotient converts to 0).
+    fn proven_steps(&self, margin_deg: f64, step_s: f64) -> u64 {
+        ((margin_deg - self.slack_deg) / (step_s * self.rate_deg_per_s)) as u64
+    }
+}
+
 /// One observer's schedule state machine, advanced sample by sample.
 /// Splitting the loop out of [`compute_schedule`] lets
 /// [`compute_schedules`] interleave many observers over a shared
 /// [`SnapshotCache`] without re-propagating the constellation per user.
 struct ScheduleBuilder {
     observer: Geodetic,
-    /// `observer`'s frame, for the per-sample looks at the serving
-    /// satellite.
+    /// `observer`'s frame, for the looks at the serving satellite.
     frame: ObserverFrame,
     policy: SelectionPolicy,
     end: SimTime,
     step: SimDuration,
+    /// `step` in seconds.
+    step_s: f64,
     t: SimTime,
     boundaries: BoundaryTracker,
     serving: Option<usize>,
+    /// How fast `serving` can sink toward the mask.
+    bound: ServingBound,
     interval_start: SimTime,
     outage_start: Option<SimTime>,
     planned_switches: usize,
+    /// Looks taken at the serving satellite.
+    looks: u64,
+    /// Samples walked with a satellite serving, looked at or proven: the
+    /// looks a walk that skipped nothing would have taken.
+    walked: u64,
     schedule: ServingSchedule,
 }
 
@@ -199,38 +296,58 @@ impl ScheduleBuilder {
             policy: *policy,
             end: start + window,
             step,
+            step_s: step.as_secs_f64(),
             t: start,
             boundaries: BoundaryTracker::new(start, policy.epoch),
             serving: None,
+            bound: ServingBound::NONE,
             interval_start: start,
             outage_start: None,
             planned_switches: 0,
+            looks: 0,
+            walked: 0,
             schedule: ServingSchedule::default(),
         }
     }
 
+    /// Satellite `sat` starts serving at `t`.
+    fn serve(&mut self, sat: usize, t: SimTime, constellation: &Constellation) {
+        self.serving = Some(sat);
+        self.interval_start = t;
+        self.schedule.handovers.push(t);
+        self.bound = ServingBound::new(constellation, sat, self.frame.ecef().magnitude());
+    }
+
+    /// The number of steps from `t` to the first sample at or after
+    /// `target`, which lies after `t`.
+    fn steps_to(&self, t: SimTime, target: SimTime) -> u64 {
+        target.since(t).as_nanos().div_ceil(self.step.as_nanos())
+    }
+
     /// Advances sampling until the next sample falls at or beyond `until`
-    /// (clamped to the window end).
+    /// (clamped to the window end). A sample left to look at may lie past
+    /// `until`: the walk jumps over samples it has proven visible, and the
+    /// next call continues from where it landed.
     fn advance_until(&mut self, until: SimTime, cache: &SnapshotCache<'_>) {
         let constellation = cache.constellation();
         let stop = self.end.min(until);
         while self.t < stop {
             let t = self.t;
             let offset = t.since(SimTime::ZERO);
-            let serving_visible = self.serving.is_some_and(|sat| {
-                self.frame
-                    .look(constellation.position(sat, offset))
-                    .visible_above(self.policy.mask_deg)
+            let serving_look = self.serving.map(|sat| {
+                self.looks += 1;
+                self.walked += 1;
+                (sat, self.frame.look(constellation.position(sat, offset)))
             });
 
-            if serving_visible {
+            if let Some((sat, look)) =
+                serving_look.filter(|(_, look)| look.visible_above(self.policy.mask_deg))
+            {
                 // Proactive planning at epoch boundaries: if the pass will
                 // end before the next boundary (elevation sinking into the
                 // mask margin), switch now rather than dropping mid-epoch.
                 if let Some(boundary) = self.boundaries.crossed(t) {
-                    if let (true, Some(sat)) =
-                        (self.policy.proactive_margin_deg > 0.0, self.serving)
-                    {
+                    if self.policy.proactive_margin_deg > 0.0 {
                         let horizon = self.boundaries.horizon_of(boundary);
                         let at_next = self
                             .frame
@@ -252,16 +369,28 @@ impl ScheduleBuilder {
                                             start: self.interval_start,
                                             end: t,
                                         });
-                                        self.serving = Some(view.index);
-                                        self.interval_start = t;
-                                        self.schedule.handovers.push(t);
+                                        self.serve(view.index, t, constellation);
                                     }
                                 }
                             }
                         }
                     }
                 }
-                self.t += self.step;
+                // Samples 1..=k after t are proven visible, and those
+                // before the armed boundary cross none: on each, the walk
+                // would only step on. Look next at the first sample that
+                // is neither, or at once after a handover.
+                let proven = if self.serving == Some(sat) {
+                    self.bound
+                        .proven_steps(look.elevation_deg - self.policy.mask_deg, self.step_s)
+                } else {
+                    0
+                };
+                let jump = proven
+                    .saturating_add(1)
+                    .min(self.steps_to(t, self.boundaries.next));
+                self.walked += jump.min(self.steps_to(t, self.end)) - 1;
+                self.t = t + self.step * jump;
                 continue;
             }
 
@@ -292,29 +421,24 @@ impl ScheduleBuilder {
             let pick = cache
                 .at(clamped.since(SimTime::ZERO))
                 .best_visible(self.observer, self.policy.mask_deg);
-            match pick {
-                Some(view) => {
-                    if let Some(os) = self.outage_start.take() {
-                        if clamped > os {
-                            self.schedule.outages.push((os, clamped));
-                        }
+            if let Some(view) = pick {
+                if let Some(os) = self.outage_start.take() {
+                    if clamped > os {
+                        self.schedule.outages.push((os, clamped));
                     }
-                    self.serving = Some(view.index);
-                    self.interval_start = clamped;
-                    self.schedule.handovers.push(clamped);
-                    self.t = clamped + self.step;
                 }
-                None => {
-                    // Nothing visible at the boundary: stay in outage and
-                    // try the next one.
-                    self.t = clamped + self.step;
-                }
+                self.serve(view.index, clamped, constellation);
             }
+            // With nothing visible at the boundary, stay in outage and try
+            // the next one.
+            self.t = clamped + self.step;
         }
     }
 
     /// Closes trailing state and returns the finished schedule.
     fn finish(mut self) -> ServingSchedule {
+        starlink_obsv::counter_add("constellation.schedule.serving_looks", self.looks);
+        starlink_obsv::counter_add("constellation.schedule.samples_walked", self.walked);
         if let Some(sat) = self.serving {
             self.schedule.intervals.push(ServingInterval {
                 sat,
@@ -536,6 +660,130 @@ mod tests {
 
     fn london() -> Geodetic {
         Geodetic::on_surface(51.5074, -0.1278)
+    }
+
+    /// The six Gen1 + Gen2 shells at full size: 16 236 satellites.
+    fn gen2() -> Constellation {
+        let shell = |inclination_deg, altitude_km: f64, planes, sats_per_plane, first| {
+            ShellConfig {
+                inclination_deg,
+                altitude_m: altitude_km * 1_000.0,
+                planes,
+                sats_per_plane,
+                phasing: 1,
+                first_catalog_number: first,
+                name_prefix: "GEN2",
+            }
+            .generate()
+        };
+        let tles = [
+            shell(53.0, 550.0, 72, 22, 100_000),
+            shell(53.2, 540.0, 72, 22, 110_000),
+            shell(70.0, 570.0, 36, 20, 120_000),
+            shell(97.6, 560.0, 6, 58, 130_000),
+            shell(43.0, 530.0, 48, 110, 140_000),
+            shell(33.0, 525.0, 56, 120, 150_000),
+        ]
+        .concat();
+        Constellation::from_tles(&tles, 0.4)
+    }
+
+    #[test]
+    fn elevation_rate_stays_below_the_serving_bound() {
+        // Every satellite's elevation change over one second, from
+        // observers on the ground and in the air, against the `ρ` a
+        // schedule would skip by. Samples 97 s apart see fresh geometry.
+        let observers = [
+            (51.5, -0.13, 0.0),
+            (0.0, 100.0, 0.0),
+            (-35.3, 149.1, 10_000.0),
+            (60.2, 24.9, 300_000.0),
+            (40.4, -100.0, 500_000.0),
+        ];
+        for (name, c) in [
+            ("shell-1", Constellation::starlink_shell1(0.4)),
+            ("gen2", gen2()),
+        ] {
+            let mut tightest = (0.0_f64, 0.0);
+            for (lat_deg, lon_deg, alt_m) in observers {
+                let frame = ObserverFrame::new(Geodetic {
+                    lat_deg,
+                    lon_deg,
+                    alt_m,
+                });
+                let bounds: Vec<ServingBound> = (0..c.len())
+                    .map(|sat| ServingBound::new(&c, sat, frame.ecef().magnitude()))
+                    .collect();
+                for k in 0..12 {
+                    let t = SimDuration::from_secs(97 * k);
+                    for (sat, bound) in bounds.iter().enumerate() {
+                        if !bound.rate_deg_per_s.is_finite() {
+                            continue;
+                        }
+                        let el = |t| frame.look(c.position(sat, t)).elevation_deg;
+                        let rate = (el(t + SimDuration::from_secs(1)) - el(t)).abs();
+                        let ratio = rate / bound.rate_deg_per_s;
+                        assert!(
+                            ratio < 1.0,
+                            "{name} sat {sat} from ({lat_deg}, {lon_deg}, {alt_m} m) at {t}: \
+                             {rate}°/s against ρ {}",
+                            bound.rate_deg_per_s
+                        );
+                        if ratio > tightest.0 {
+                            tightest = (ratio, alt_m);
+                        }
+                    }
+                }
+            }
+            println!(
+                "{name}: tightest |ΔEl|/Δt is {:.3} of ρ (observer at {} m)",
+                tightest.0, tightest.1
+            );
+            assert!(tightest.0 > 0.3, "{name}: the bound is never approached");
+        }
+    }
+
+    #[test]
+    fn no_bound_is_claimed_where_no_proof_holds() {
+        let c = shell(4, 4);
+        let ground = Geodetic::on_surface(51.5, -0.13).to_ecef().magnitude();
+        let bound = ServingBound::new(&c, 0, ground);
+        assert!(bound.rate_deg_per_s.is_finite() && bound.rate_deg_per_s > 0.5);
+        assert!(bound.slack_deg > LOOK_MARGIN_DEG && bound.slack_deg < 1e-3);
+        // An observer at the satellite's perigee radius or above it.
+        let (r_lo, _) = c.propagators.satellite(0).radius_bounds_m();
+        for radius in [r_lo, r_lo + 1.0, r_lo - POSITION_MARGIN_M] {
+            assert_eq!(
+                ServingBound::new(&c, 0, radius).rate_deg_per_s,
+                f64::INFINITY
+            );
+        }
+        // Too eccentric for the Newton proof, and a satellite that does
+        // not move (its radii are not finite).
+        let mut tles = ShellConfig::starlink_shell1().generate();
+        tles.truncate(2);
+        tles[0].elements.eccentricity = PHASE_MAX_ECCENTRICITY * 1.01;
+        tles[1].elements.mean_motion_rev_per_day = 0.0;
+        let c = Constellation::from_tles(&tles, 0.0);
+        for sat in 0..2 {
+            let bound = ServingBound::new(&c, sat, ground);
+            assert_eq!(bound.rate_deg_per_s, f64::INFINITY, "sat {sat}");
+            assert_eq!(bound.proven_steps(60.0, 1.0), 0);
+        }
+    }
+
+    #[test]
+    fn proven_steps_keeps_the_slack_and_floors() {
+        let bound = ServingBound {
+            rate_deg_per_s: 0.5,
+            slack_deg: 0.25,
+        };
+        // (10 − 0.25) / (1 × 0.5) = 19.5.
+        assert_eq!(bound.proven_steps(10.0, 1.0), 19);
+        assert_eq!(bound.proven_steps(0.2, 1.0), 0);
+        assert_eq!(bound.proven_steps(-3.0, 1.0), 0);
+        assert_eq!(bound.proven_steps(f64::NAN, 1.0), 0);
+        assert_eq!(ServingBound::NONE.proven_steps(90.0, 0.1), 0);
     }
 
     #[test]

@@ -59,7 +59,7 @@ const COARSE_MARGIN_M: f64 = 1_000.0;
 
 /// Largest eccentricity the phase bound is applied to. A plane with a
 /// bounded member beyond it gets the plane bound only.
-const PHASE_MAX_ECCENTRICITY: f64 = 0.1;
+pub(crate) const PHASE_MAX_ECCENTRICITY: f64 = 0.1;
 
 /// Angle added to every phase slack, radians: covers the rounding of the
 /// mean argument of latitude and the Newton residual of Kepler's equation

@@ -21,6 +21,7 @@ use starlink_channel::{HandoverLossModel, NodeProfile, WeatherCondition, Weather
 use starlink_constellation::{BentPipe, ServingSchedule};
 use starlink_netsim::LinkDynamics;
 use starlink_simcore::{DataRate, SimDuration, SimRng, SimTime};
+use std::rc::Rc;
 
 /// Which direction of the access link this instance models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,10 +38,10 @@ pub struct StarlinkLinkDynamics {
     weather: WeatherTimeline,
     loss: HandoverLossModel,
     direction: Direction,
-    /// Bent-pipe one-way propagation delay per second of the window;
-    /// index = seconds since window start. Seconds with no serving
-    /// satellite reuse the last known delay (packets die to loss anyway).
-    pipe_delay_by_sec: Vec<SimDuration>,
+    /// Bent-pipe one-way propagation delay per second of the window
+    /// (see `pipe_delay_track`), shared by every link built on the same
+    /// schedule, pipe and window.
+    pipe_delay_by_sec: Rc<[SimDuration]>,
     window_start: SimTime,
     /// Smoothed queueing state.
     queue_epoch: SimTime,
@@ -54,12 +55,38 @@ pub struct StarlinkLinkDynamics {
     rng: SimRng,
 }
 
+/// The bent-pipe one-way propagation delay over `[window_start,
+/// window_start + window)`, one value per second: index = seconds since
+/// window start. Seconds with no serving satellite reuse the last known
+/// delay (packets die to loss anyway). `schedule`/`pipe` must cover the
+/// window. Both directions of a link, and every link on the same schedule,
+/// pipe and window, share one track.
+pub(crate) fn pipe_delay_track(
+    schedule: &ServingSchedule,
+    pipe: &BentPipe<'_>,
+    window_start: SimTime,
+    window: SimDuration,
+) -> Rc<[SimDuration]> {
+    // ~4 ms is the geometric center of the bent pipe's delay range.
+    let mut last = SimDuration::from_micros(4_000);
+    (0..window.as_secs().max(1))
+        .map(|s| {
+            if let Some(d) = pipe.delay_at(schedule, window_start + SimDuration::from_secs(s)) {
+                last = d;
+            }
+            last
+        })
+        .collect()
+}
+
 impl StarlinkLinkDynamics {
     /// Builds the link model for one direction.
     ///
     /// `schedule`/`pipe` must cover `[window_start, window_start +
-    /// window)`; the bent-pipe delay track is precomputed at 1 s
-    /// resolution.
+    /// window)`; the bent-pipe delay track is computed at 1 s resolution
+    /// by `pipe_delay_track`. A world that builds several links on one
+    /// schedule computes the track once and hands it to each link's
+    /// `with_pipe_delays`.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         profile: NodeProfile,
@@ -72,22 +99,36 @@ impl StarlinkLinkDynamics {
         rng: SimRng,
         loss_rng: SimRng,
     ) -> Self {
+        Self::with_pipe_delays(
+            profile,
+            weather,
+            schedule,
+            pipe_delay_track(schedule, pipe, window_start, window),
+            window_start,
+            direction,
+            rng,
+            loss_rng,
+        )
+    }
+
+    /// Builds the link model for one direction on a delay track from
+    /// [`pipe_delay_track`] over the same `schedule` from `window_start`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn with_pipe_delays(
+        profile: NodeProfile,
+        weather: WeatherTimeline,
+        schedule: &ServingSchedule,
+        pipe_delay_by_sec: Rc<[SimDuration]>,
+        window_start: SimTime,
+        direction: Direction,
+        rng: SimRng,
+        loss_rng: SimRng,
+    ) -> Self {
         let loss = HandoverLossModel::new(
             schedule,
             starlink_channel::loss::HandoverLossParams::default(),
             loss_rng,
         );
-        let secs = window.as_secs().max(1);
-        let mut pipe_delay_by_sec = Vec::with_capacity(secs as usize);
-        // ~4 ms is the geometric center of the bent pipe's delay range.
-        let mut last = SimDuration::from_micros(4_000);
-        for s in 0..secs {
-            let t = window_start + SimDuration::from_secs(s);
-            if let Some(d) = pipe.delay_at(schedule, t) {
-                last = d;
-            }
-            pipe_delay_by_sec.push(last);
-        }
         StarlinkLinkDynamics {
             profile,
             weather,

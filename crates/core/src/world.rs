@@ -1,6 +1,8 @@
 //! World builders: the measurement topologies of the paper.
 
-use crate::dynamics::{Direction, StarlinkLinkDynamics, TerrestrialQueueDynamics};
+use crate::dynamics::{
+    pipe_delay_track, Direction, StarlinkLinkDynamics, TerrestrialQueueDynamics,
+};
 use starlink_channel::{AccessTech, NodeProfile, WeatherCondition, WeatherTimeline};
 use starlink_constellation::{
     compute_schedule, BentPipe, Constellation, SelectionPolicy, ServingSchedule,
@@ -138,25 +140,24 @@ impl NodeWorld {
         // LAN to the dish.
         net.connect_duplex(node, dishy, LinkConfig::ethernet(), LinkConfig::ethernet());
 
-        // The bent pipe, direction-specific dynamics.
-        let up = StarlinkLinkDynamics::new(
+        // The bent pipe, direction-specific dynamics on one delay track.
+        let delays = pipe_delay_track(&schedule, &pipe, SimTime::ZERO, config.window);
+        let up = StarlinkLinkDynamics::with_pipe_delays(
             profile.clone(),
             weather.clone(),
             &schedule,
-            &pipe,
+            delays.clone(),
             SimTime::ZERO,
-            config.window,
             Direction::Up,
             root.stream("sl.up"),
             root.stream("sl.loss.up"),
         );
-        let down = StarlinkLinkDynamics::new(
+        let down = StarlinkLinkDynamics::with_pipe_delays(
             profile.clone(),
             weather.clone(),
             &schedule,
-            &pipe,
+            delays,
             SimTime::ZERO,
-            config.window,
             Direction::Down,
             root.stream("sl.down"),
             root.stream("sl.loss.down"),
@@ -297,6 +298,8 @@ impl Fig5World {
         let schedule = compute_schedule(&constellation, london, SimTime::ZERO, window, &policy);
         let gateway = gateway_near(london);
         let pipe = BentPipe::new(&constellation, london, gateway);
+        // Every Starlink access link shares one delay track.
+        let delays = pipe_delay_track(&schedule, &pipe, SimTime::ZERO, window);
         let weather = WeatherTimeline::constant(
             WeatherCondition::FewClouds,
             window.max(SimDuration::from_hours(1)),
@@ -349,24 +352,22 @@ impl Fig5World {
             // Home -> access: the technology-specific segment.
             match tech {
                 AccessTech::Starlink => {
-                    let up = StarlinkLinkDynamics::new(
+                    let up = StarlinkLinkDynamics::with_pipe_delays(
                         profile.clone(),
                         weather.clone(),
                         &schedule,
-                        &pipe,
+                        delays.clone(),
                         SimTime::ZERO,
-                        window,
                         Direction::Up,
                         root.stream("f5.up").substream(i as u64),
                         root.stream("f5.loss.up").substream(i as u64),
                     );
-                    let down = StarlinkLinkDynamics::new(
+                    let down = StarlinkLinkDynamics::with_pipe_delays(
                         profile.clone(),
                         weather.clone(),
                         &schedule,
-                        &pipe,
+                        delays.clone(),
                         SimTime::ZERO,
-                        window,
                         Direction::Down,
                         root.stream("f5.down").substream(i as u64),
                         root.stream("f5.loss.down").substream(i as u64),

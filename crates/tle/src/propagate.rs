@@ -121,6 +121,29 @@ impl Propagator {
         (self.a * (1.0 - self.e.abs()), self.a * (1.0 + self.e.abs()))
     }
 
+    /// An upper bound on the Earth-fixed speed of the orbit the kernel
+    /// traces, m/s, or infinity when no bound is claimed (`|e| ≥ 1`, or a
+    /// constant that is not finite).
+    ///
+    /// The kernel's position is `R_z(Ω − θ) R_x(i) R_z(ω) p(M)`: the
+    /// perifocal Kepler position `p`, turned by the drifting perigee
+    /// `ω₀ + ω̇t`, the drifting node `Ω₀ + Ω̇t` and the Earth rotation
+    /// `θ₀ + ω⊕t`. Differentiating, each rotation adds at most its rate
+    /// times `|p| ≤ a(1 + |e|)`, and with `M = M₀ + nt` the perifocal speed
+    /// is `a|n| √((1 + e cos E)/(1 − e cos E)) ≤ a|n| √((1 + |e|)/(1 − |e|))`.
+    /// So the speed is at most
+    /// `a|n| √((1 + |e|)/(1 − |e|)) + (|ω̇| + |Ω̇| + ω⊕) · a(1 + |e|)`.
+    pub fn speed_bound_m_per_s(&self) -> f64 {
+        let e = self.e.abs();
+        let bound = self.a * self.n.abs() * ((1.0 + e) / (1.0 - e)).sqrt()
+            + (self.argp_dot.abs() + self.raan_dot.abs() + OMEGA_EARTH) * self.a * (1.0 + e);
+        if e < 1.0 && bound.is_finite() {
+            bound
+        } else {
+            f64::INFINITY
+        }
+    }
+
     /// The sine and cosine of the inclination, the bits the kernel uses.
     #[inline]
     pub fn inclination_sin_cos(&self) -> (f64, f64) {

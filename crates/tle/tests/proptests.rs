@@ -111,3 +111,94 @@ proptest! {
         prop_assert_eq!(a.z.to_bits(), b.z.to_bits());
     }
 }
+
+/// Elements with `|e| ≤ 0.1` at shell-1 (~550 km), Gen2 (340–570 km) and
+/// ISS-like (~420 km) altitudes, any inclination.
+fn arb_bounded_orbit() -> impl Strategy<Value = OrbitalElements> {
+    (
+        prop_oneof![15.0f64..15.12, 15.0f64..16.3, 15.45f64..15.55],
+        0.0f64..180.0,
+        0.0f64..360.0,
+        -0.1f64..=0.1,
+        0.0f64..360.0,
+        0.0f64..360.0,
+    )
+        .prop_map(|(mm, inclination, raan, ecc, argp, ma)| OrbitalElements {
+            catalog_number: 1,
+            classification: 'U',
+            intl_designator: "22001A".into(),
+            epoch_year: 2022,
+            epoch_day: 1.0,
+            mean_motion_dot: 0.0,
+            mean_motion_ddot: 0.0,
+            bstar: 0.0,
+            element_set: 1,
+            inclination_deg: inclination,
+            raan_deg: raan,
+            eccentricity: ecc,
+            arg_perigee_deg: argp,
+            mean_anomaly_deg: ma,
+            mean_motion_rev_per_day: mm,
+            rev_number: 1,
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The Earth-fixed speed of `position_at_secs`, as a central
+    /// difference over 2 ms, never exceeds `speed_bound_m_per_s`. A chord
+    /// is no longer than the arc, so the difference is at most the largest
+    /// speed along it; the tolerance covers the rounding of two positions.
+    #[test]
+    fn ecef_speed_stays_within_the_bound(
+        elements in arb_bounded_orbit(),
+        gmst0 in 0.0f64..std::f64::consts::TAU,
+        t in 0.0f64..1_000_000.0,
+    ) {
+        let p = Propagator::new(&elements, gmst0);
+        let bound = p.speed_bound_m_per_s();
+        prop_assert!(bound.is_finite() && bound > 0.0, "{}", bound);
+        let (t0, t1) = (t - 1e-3, t + 1e-3);
+        let speed = p.position_at_secs(t1).distance(p.position_at_secs(t0)).as_f64() / (t1 - t0);
+        prop_assert!(speed <= bound * (1.0 + 1e-9), "{} m/s against {}", speed, bound);
+        // Not vacuous: at most the eccentric and rotation terms apart.
+        prop_assert!(speed > 0.6 * bound, "{} m/s against {}", speed, bound);
+    }
+}
+
+#[test]
+fn no_speed_bound_is_claimed_for_an_open_or_frozen_orbit() {
+    let mut elements = OrbitalElements {
+        catalog_number: 25_544,
+        classification: 'U',
+        intl_designator: "98067A".into(),
+        epoch_year: 2022,
+        epoch_day: 1.0,
+        mean_motion_dot: 0.0,
+        mean_motion_ddot: 0.0,
+        bstar: 0.0,
+        element_set: 1,
+        inclination_deg: 51.64,
+        raan_deg: 100.0,
+        eccentricity: 0.0001,
+        arg_perigee_deg: 90.0,
+        mean_anomaly_deg: 270.0,
+        mean_motion_rev_per_day: 15.5,
+        rev_number: 1,
+    };
+    assert!(Propagator::new(&elements, 0.0)
+        .speed_bound_m_per_s()
+        .is_finite());
+    elements.eccentricity = 1.0;
+    assert_eq!(
+        Propagator::new(&elements, 0.0).speed_bound_m_per_s(),
+        f64::INFINITY
+    );
+    elements.eccentricity = 0.0;
+    elements.mean_motion_rev_per_day = 0.0;
+    assert_eq!(
+        Propagator::new(&elements, 0.0).speed_bound_m_per_s(),
+        f64::INFINITY
+    );
+}
